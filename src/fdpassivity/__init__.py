@@ -10,7 +10,6 @@ eigenloci and direct mode solving on det Y_n(s).
 
 from .errors import (
     DefectiveMatrixError,
-    DegenerateEigenvalueError,
     MalformedTableError,
     NoConvergenceError,
     NonFiniteError,
@@ -75,14 +74,13 @@ from .passivity import (
     param_passivity_sensitivity,
     passivity_eigen,
     passivity_index,
-    passivity_sensitivity_at,
 )
 from .network import (
     Branch,
     ComponentRef,
     Device,
     Network,
-    NodalPassivityPoint,
+    NodalSpectrum,
     ParticipationTable,
     Shunt,
     assemble_branches,
@@ -96,14 +94,8 @@ from .network import (
     directional_nodal_sensitivity,
     incidence,
     nodal_param_sensitivity,
-    nodal_passivity,
     nodal_passivity_sweep,
-    nodal_sensitivity_at,
-    nodal_sensitivity_branch,
-    nodal_sensitivity_shunt,
-    participation,
     participation_sweep,
-    participation_table,
 )
 from .stability import (
     FdParticipation,

@@ -246,7 +246,8 @@ class DeviceModel:
     """Evaluable, parameterized source of 2x2 dq admittance.
 
     Subclasses are immutable; evaluation is pure, so models are safe to
-    share across threads.
+    share across threads.  A model has no adjustable parameters unless it
+    derives from ParametricModel.
     """
 
     kind: ClassVar[str] = "device"
@@ -259,21 +260,35 @@ class DeviceModel:
 
     def get_param(self, name: str) -> float:
         self._require_param(name)
-        return self._param_value(name)
+        return getattr(self._param_source(), name)
 
     def with_param(self, name: str, value: float) -> "DeviceModel":
         raise NotDifferentiableError(f"{self.kind} model has no adjustable parameters")
 
-    def _param_value(self, name: str) -> float:
-        raise KeyError(name)
+    def _param_source(self):
+        return getattr(self, "params", self)
 
     def _require_param(self, name: str) -> None:
         if name not in self.param_names():
             raise ValueError(f"{self.kind} model has no parameter {name!r}")
 
 
+class ParametricModel(DeviceModel):
+    """Dataclass model whose parameters are dataclass fields: those of its
+    ``params`` dataclass when it has one, else its own fields except omega_b."""
+
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self._param_source()) if f.name != "omega_b")
+
+    def with_param(self, name: str, value: float) -> "DeviceModel":
+        self._require_param(name)
+        source = self._param_source()
+        changed = replace(source, **{name: value})
+        return changed if source is self else replace(self, params=changed)
+
+
 @dataclass(frozen=True)
-class RlBranch(DeviceModel):
+class RlBranch(ParametricModel):
     """Series RL element (branch, grid shunt, or passive load)."""
 
     r: float
@@ -285,19 +300,9 @@ class RlBranch(DeviceModel):
     def admittance(self, s: complex) -> np.ndarray:
         return rl_branch_admittance(self.r, self.x, s, self.omega_b)
 
-    def param_names(self) -> tuple[str, ...]:
-        return ("r", "x")
-
-    def _param_value(self, name):
-        return getattr(self, name)
-
-    def with_param(self, name, value):
-        self._require_param(name)
-        return replace(self, **{name: value})
-
 
 @dataclass(frozen=True)
-class ShuntCapacitor(DeviceModel):
+class ShuntCapacitor(ParametricModel):
     """Shunt capacitor with susceptance b (pu); lossless."""
 
     b: float
@@ -308,19 +313,9 @@ class ShuntCapacitor(DeviceModel):
     def admittance(self, s: complex) -> np.ndarray:
         return shunt_c_admittance(self.b, s, self.omega_b)
 
-    def param_names(self) -> tuple[str, ...]:
-        return ("b",)
-
-    def _param_value(self, name):
-        return getattr(self, name)
-
-    def with_param(self, name, value):
-        self._require_param(name)
-        return replace(self, **{name: value})
-
 
 @dataclass(frozen=True)
-class TheveninGrid(DeviceModel):
+class TheveninGrid(ParametricModel):
     """Grid equivalent characterized by short-circuit ratio and X/R."""
 
     scr: float
@@ -332,19 +327,9 @@ class TheveninGrid(DeviceModel):
     def admittance(self, s: complex) -> np.ndarray:
         return thevenin_grid(self.scr, self.xr_ratio, s, self.omega_b)
 
-    def param_names(self) -> tuple[str, ...]:
-        return ("scr", "xr_ratio")
-
-    def _param_value(self, name):
-        return getattr(self, name)
-
-    def with_param(self, name, value):
-        self._require_param(name)
-        return replace(self, **{name: value})
-
 
 @dataclass(frozen=True)
-class GflConverterL1(DeviceModel):
+class GflConverterL1(ParametricModel):
     """Grid-following converter, level-1 linearization."""
 
     params: GflParams
@@ -355,19 +340,9 @@ class GflConverterL1(DeviceModel):
     def admittance(self, s: complex) -> np.ndarray:
         return gfl_admittance_l1(self.params, self.op, s)
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(GflParams))
-
-    def _param_value(self, name):
-        return getattr(self.params, name)
-
-    def with_param(self, name, value):
-        self._require_param(name)
-        return replace(self, params=replace(self.params, **{name: value}))
-
 
 @dataclass(frozen=True)
-class GfmConverterL1(DeviceModel):
+class GfmConverterL1(ParametricModel):
     """Grid-forming converter, level-1 linearization."""
 
     params: GfmParams
@@ -377,16 +352,6 @@ class GfmConverterL1(DeviceModel):
 
     def admittance(self, s: complex) -> np.ndarray:
         return gfm_admittance_l1(self.params, self.op, s)
-
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(GfmParams))
-
-    def _param_value(self, name):
-        return getattr(self.params, name)
-
-    def with_param(self, name, value):
-        self._require_param(name)
-        return replace(self, params=replace(self.params, **{name: value}))
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,10 +67,6 @@ class UnknownComponentError(ValidationFailure):
     """A sensitivity target names a component the network does not contain."""
 
 
-class DegenerateEigenvalueError(NumericalFailure):
-    """Minimum eigenvalue too close to the next one for a defined derivative."""
-
-
 # --- stability ------------------------------------------------------------
 
 class RefineGridError(NumericalFailure):

@@ -34,9 +34,9 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .devices import DeviceModel, param_derivative
-from .errors import DegenerateEigenvalueError, UnknownBusError, UnknownComponentError
-from .numerics import HermitianEigen, hermitian_eigen, inverse
-from .passivity import DEGENERACY_RTOL, IndexSweep, SensitivitySeries, hermitian_part, is_degenerate
+from .errors import UnknownBusError, UnknownComponentError
+from .numerics import hermitian_eigen, inverse
+from .passivity import IndexSweep, SensitivitySeries, hermitian_part, is_degenerate
 
 
 @dataclass(frozen=True)
@@ -220,112 +220,58 @@ def closed_loop_impedance(network: Network, s: complex) -> np.ndarray:
     return inverse(assemble_nodal(network, s))
 
 
-@dataclass(frozen=True, eq=False)
-class NodalPassivityPoint:
-    """Eigenstructure of the nodal Hermitian part at one frequency."""
+@dataclass(frozen=True)
+class NodalSpectrum(IndexSweep):
+    """Nodal passivity over a frequency grid with the minimum eigenpair.
 
-    omega: float
-    index: float            # minimum eigenvalue of H_n
-    spectrum: np.ndarray    # all eigenvalues, ascending; spectrum[0] == index
-    min_vector: np.ndarray  # unit eigenvector of the minimum eigenvalue
+    Row k belongs to omegas[k].  Where degenerate[k] is set the minimum
+    eigenvalue is not simple, so min_vectors[k] and every sensitivity or
+    participation drawn from it are not defined there.
+    """
 
-    @property
-    def eigen_gap(self) -> float:
-        return float(self.spectrum[1] - self.spectrum[0]) if self.spectrum.size > 1 else math.inf
-
-
-def _nodal_eigen(network: Network, omega: float) -> tuple[HermitianEigen, bool]:
-    h = hermitian_part(assemble_nodal(network, 1j * omega))
-    eig = hermitian_eigen(h)
-    return eig, is_degenerate(eig, np.linalg.norm(h))
+    spectra: np.ndarray      # (M, 2N) eigenvalues of H_n, ascending; spectra[:, 0] == indices
+    min_vectors: np.ndarray  # (M, 2N) unit eigenvectors of the minimum eigenvalue
+    degenerate: np.ndarray   # (M,) bool
 
 
-def nodal_passivity(network: Network, omega: float) -> NodalPassivityPoint:
-    """Full nodal passivity spectrum at one frequency."""
-    eig, _ = _nodal_eigen(network, omega)
-    return NodalPassivityPoint(
-        omega=float(omega),
-        index=eig.min_value,
-        spectrum=eig.values,
-        min_vector=eig.min_vector,
-    )
-
-
-def nodal_passivity_sweep(network: Network, omegas) -> IndexSweep:
-    """Nodal passivity index over a frequency grid."""
+def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
+    """Nodal passivity index and minimum eigenpair over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
 
     def point(w: float):
-        eig, _ = _nodal_eigen(network, w)
-        return eig.min_value, eig.eigen_gap
+        h = hermitian_part(assemble_nodal(network, 1j * w))
+        eig = hermitian_eigen(h)
+        # copy the one column so the full eigenvector matrix can be freed
+        return eig.values, eig.min_vector.copy(), is_degenerate(eig, np.linalg.norm(h))
 
     rows = parallel_map(point, omegas)
-    return IndexSweep(
+    spectra = np.array([r[0] for r in rows])
+    return NodalSpectrum(
         omegas=omegas,
-        indices=np.array([r[0] for r in rows]),
-        eigen_gaps=np.array([r[1] for r in rows]),
+        indices=spectra[:, 0],
+        eigen_gaps=spectra[:, 1] - spectra[:, 0],
+        spectra=spectra,
+        min_vectors=np.array([r[1] for r in rows]),
+        degenerate=np.array([r[2] for r in rows], dtype=bool),
     )
 
 
-def _require_simple(eig: HermitianEigen, degen: bool, omega: float, what: str) -> None:
-    if degen:
-        raise DegenerateEigenvalueError(
-            f"minimum nodal eigenvalue is not simple at omega={omega:.6g} rad/s; "
-            f"{what} is not defined there"
-        )
+def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.ndarray) -> float:
+    """d index along a 2x2 perturbation dY of any component.
 
-
-def _window_quadratic(phi: np.ndarray, buses: tuple[int, ...], dy: np.ndarray) -> float:
-    """phi_w^dagger (dY + dY^dagger) phi_w with phi_w the window the
-    perturbation sees: a bus sub-vector, or their difference for a branch."""
-    if len(buses) == 2:
-        i, j = buses
+    phi_w^dagger (dY + dY^dagger) phi_w, with phi the unit minimum
+    eigenvector of the nodal Hermitian part and phi_w the window the
+    component sees: its bus sub-vector, or the difference of the two for a
+    branch.
+    """
+    if len(ref.buses) == 2:
+        i, j = ref.buses
         w = phi[2 * i:2 * i + 2] - phi[2 * j:2 * j + 2]
     else:
-        (i,) = buses
+        (i,) = ref.buses
         w = phi[2 * i:2 * i + 2]
     dy = np.asarray(dy, dtype=complex)
     return float((w.conj() @ (dy + dy.conj().T) @ w).real)
-
-
-def nodal_sensitivity_shunt(network: Network, omega: float, bus_i, dy: np.ndarray) -> float:
-    """d index for a 2x2 perturbation dY on the diagonal block of bus_i.
-
-    Covers shunts and shunt-connected devices alike; bus_i may be an index
-    or a bus name.
-    """
-    i = network.bus_index(bus_i) if isinstance(bus_i, str) else int(bus_i)
-    if not (0 <= i < network.n_buses):
-        raise UnknownBusError(f"bus index {i} out of range")
-    eig, degen = _nodal_eigen(network, omega)
-    _require_simple(eig, degen, omega, "the shunt sensitivity")
-    return _window_quadratic(eig.min_vector, (i,), dy)
-
-
-def nodal_sensitivity_branch(network: Network, omega: float, branch_k: int, dy: np.ndarray) -> float:
-    """d index for a 2x2 perturbation dY of branch number branch_k."""
-    if not (0 <= branch_k < len(network.branches)):
-        raise UnknownComponentError(f"branch index {branch_k} out of range")
-    br = network.branches[branch_k]
-    i, j = network.bus_index(br.from_bus), network.bus_index(br.to_bus)
-    eig, degen = _nodal_eigen(network, omega)
-    _require_simple(eig, degen, omega, "the branch sensitivity")
-    return _window_quadratic(eig.min_vector, (i, j), dy)
-
-
-def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.ndarray) -> float:
-    """Sensitivity along dY for any component, given the unit minimum
-    eigenvector of the nodal Hermitian part."""
-    return _window_quadratic(phi, ref.buses, dy)
-
-
-def nodal_sensitivity_at(network: Network, name: str, param_name: str, omega: float) -> tuple[float, float]:
-    """(nodal index, d index / d rho) for one component parameter at one frequency."""
-    ref = component(network, name)
-    eig, degen = _nodal_eigen(network, omega)
-    _require_simple(eig, degen, omega, "the parametric sensitivity")
-    dy = param_derivative(ref.model, param_name, 1j * omega)
-    return eig.min_value, directional_nodal_sensitivity(eig.min_vector, ref, dy)
 
 
 def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas) -> SensitivitySeries:
@@ -335,22 +281,20 @@ def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas
     of aborting the sweep.
     """
     ref = component(network, name)
-    omegas = np.asarray(omegas, dtype=float)
+    spec = nodal_passivity_sweep(network, omegas)
 
-    def point(w: float):
-        eig, degen = _nodal_eigen(network, w)
-        if degen:
-            return eig.min_value, math.nan, True
-        dy = param_derivative(ref.model, param_name, 1j * w)
-        return eig.min_value, directional_nodal_sensitivity(eig.min_vector, ref, dy), False
+    def point(k: int) -> float:
+        if spec.degenerate[k]:
+            return math.nan
+        dy = param_derivative(ref.model, param_name, 1j * spec.omegas[k])
+        return directional_nodal_sensitivity(spec.min_vectors[k], ref, dy)
 
-    rows = parallel_map(point, omegas)
     return SensitivitySeries(
         param_name=param_name,
-        omegas=omegas,
-        indices=np.array([r[0] for r in rows]),
-        derivatives=np.array([r[1] for r in rows]),
-        degenerate=np.array([r[2] for r in rows], dtype=bool),
+        omegas=spec.omegas,
+        indices=spec.indices,
+        derivatives=np.array(parallel_map(point, range(spec.omegas.size)), dtype=float),
+        degenerate=spec.degenerate,
     )
 
 
@@ -374,53 +318,28 @@ class ParticipationTable:
         return self.omegas / (2.0 * math.pi)
 
 
-def participation(network: Network, omega: float, component_name: str) -> float:
-    """One component's share of the nodal index at one frequency.
-
-    Directional sensitivity along the component's own admittance, i.e. the
-    response to scaling that component by (1 + eps).
-    """
-    ref = component(network, component_name)
-    eig, degen = _nodal_eigen(network, omega)
-    _require_simple(eig, degen, omega, "participation")
-    return directional_nodal_sensitivity(eig.min_vector, ref, ref.model.admittance(1j * omega))
-
-
-def participation_table(network: Network, omega: float) -> tuple[tuple[str, ...], np.ndarray, float]:
-    """(names, shares, index) for every component at one frequency; the
-    shares sum to the index."""
-    refs = components(network)
-    eig, degen = _nodal_eigen(network, omega)
-    _require_simple(eig, degen, omega, "participation")
-    phi = eig.min_vector
-    shares = np.array([
-        directional_nodal_sensitivity(phi, ref, ref.model.admittance(1j * omega))
-        for ref in refs
-    ])
-    return tuple(r.name for r in refs), shares, eig.min_value
-
-
 def participation_sweep(network: Network, omegas) -> ParticipationTable:
-    """Component participations across a frequency grid; degenerate points flagged."""
-    refs = components(network)
-    omegas = np.asarray(omegas, dtype=float)
+    """Component participations across a frequency grid; degenerate points flagged.
 
-    def point(w: float):
-        eig, degen = _nodal_eigen(network, w)
-        if degen:
-            return eig.min_value, np.full(len(refs), math.nan), True
-        phi = eig.min_vector
-        shares = np.array([
-            directional_nodal_sensitivity(phi, ref, ref.model.admittance(1j * w))
+    A component's participation is the directional sensitivity along its
+    own admittance, i.e. the response to scaling it by (1 + eps).
+    """
+    refs = components(network)
+    spec = nodal_passivity_sweep(network, omegas)
+
+    def point(k: int) -> np.ndarray:
+        if spec.degenerate[k]:
+            return np.full(len(refs), math.nan)
+        s = 1j * spec.omegas[k]
+        return np.array([
+            directional_nodal_sensitivity(spec.min_vectors[k], ref, ref.model.admittance(s))
             for ref in refs
         ])
-        return eig.min_value, shares, False
 
-    rows = parallel_map(point, omegas)
     return ParticipationTable(
         names=tuple(r.name for r in refs),
-        omegas=omegas,
-        indices=np.array([r[0] for r in rows]),
-        values=np.stack([r[1] for r in rows], axis=1),
-        degenerate=np.array([r[2] for r in rows], dtype=bool),
+        omegas=spec.omegas,
+        indices=spec.indices,
+        values=np.stack(parallel_map(point, range(spec.omegas.size)), axis=1),
+        degenerate=spec.degenerate,
     )

@@ -24,7 +24,6 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .devices import DeviceModel, param_derivative
-from .errors import DegenerateEigenvalueError
 from .numerics import HermitianEigen, hermitian_eigen
 
 # An eigenvalue gap below this fraction of ||H||_F counts as degenerate;
@@ -129,40 +128,24 @@ def index_sweep(model: DeviceModel, omegas) -> IndexSweep:
     return IndexSweep(omegas=omegas, indices=idx, eigen_gaps=gap)
 
 
-def _sensitivity_point(model: DeviceModel, param_name: str, w: float):
-    """(index, derivative, degenerate) at one frequency; NaN when degenerate."""
-    h = hermitian_part(model.admittance(1j * w))
-    eig = hermitian_eigen(h)
-    if is_degenerate(eig, np.linalg.norm(h)):
-        return eig.min_value, math.nan, True
-    dy = param_derivative(model, param_name, 1j * w)
-    phi = eig.min_vector
-    d = (phi.conj() @ (dy + dy.conj().T) @ phi).real
-    return eig.min_value, float(d), False
-
-
-def passivity_sensitivity_at(model: DeviceModel, param_name: str, omega: float) -> tuple[float, float]:
-    """(index, d index / d rho) at a single frequency.
-
-    Raises DegenerateEigenvalueError when the minimum eigenvalue is not
-    simple, since the derivative formula needs a unique eigendirection.
-    """
-    index, deriv, degen = _sensitivity_point(model, param_name, omega)
-    if degen:
-        raise DegenerateEigenvalueError(
-            f"eigenvalues of the Hermitian part coincide at omega={omega:.6g} rad/s; "
-            f"the index is not differentiable there"
-        )
-    return index, deriv
-
-
 def param_passivity_sensitivity(model: DeviceModel, param_name: str, omegas) -> SensitivitySeries:
     """Index and d(index)/d(rho) across a frequency grid.
 
-    Degenerate points are flagged per point instead of aborting the sweep.
+    Degenerate points are flagged per point (derivative NaN) instead of
+    aborting the sweep.
     """
     omegas = np.asarray(omegas, dtype=float)
-    rows = parallel_map(lambda w: _sensitivity_point(model, param_name, w), omegas)
+
+    def point(w: float):
+        h = hermitian_part(model.admittance(1j * w))
+        eig = hermitian_eigen(h)
+        if is_degenerate(eig, np.linalg.norm(h)):
+            return eig.min_value, math.nan, True
+        dy = param_derivative(model, param_name, 1j * w)
+        phi = eig.min_vector
+        return eig.min_value, float((phi.conj() @ (dy + dy.conj().T) @ phi).real), False
+
+    rows = parallel_map(point, omegas)
     return SensitivitySeries(
         param_name=param_name,
         omegas=omegas,

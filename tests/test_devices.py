@@ -214,6 +214,32 @@ def test_with_param_leaves_original_untouched(gfl_model):
         gfl_model.get_param("no_such_param")
 
 
+@pytest.mark.parametrize("model, names", [
+    (RlBranch(0.02, 0.3, WB), ("r", "x")),
+    (ShuntCapacitor(0.4, WB), ("b",)),
+    (TheveninGrid(3.0, 6.0, WB), ("scr", "xr_ratio")),
+    (GflConverterL1(GflParams(), OperatingPoint.from_terminal(0.7, 0.2, 1.0, WB)),
+     ("l_c", "r_c", "k_p_i", "k_i_i", "k_p_pll", "k_i_pll", "t_v", "k_p_pq", "k_i_pq", "t_i")),
+    (GfmConverterL1(GfmParams(), OperatingPoint.from_terminal(-0.3, 0.05, 1.0, WB)),
+     ("h_vsm", "d_vsm", "l_v", "r_v", "k_vsm")),
+], ids=["rl", "shunt_c", "thevenin", "gfl_l1", "gfm_l1"])
+def test_parameter_api_all_models(model, names):
+    assert model.param_names() == names
+    for name in names:
+        value = model.get_param(name)
+        bumped = model.with_param(name, 1.5 * value)
+        assert bumped.get_param(name) == 1.5 * value
+        assert bumped.with_param(name, value) == model
+        assert model.get_param(name) == value
+        for other in names:
+            if other != name:
+                assert bumped.get_param(other) == model.get_param(other)
+    with pytest.raises(ValueError):
+        model.with_param("no_such_param", 1.0)
+    with pytest.raises(ValueError):
+        model.get_param("no_such_param")
+
+
 def test_blackbox_exact_at_nodes_and_conjugate(gfl_model):
     grid = np.geomspace(1.0, 2000.0, 50)
     bb = sample_model(gfl_model, grid)

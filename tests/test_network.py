@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from fdpassivity.devices import RlBranch, ShuntCapacitor
-from fdpassivity.errors import (
-    DegenerateEigenvalueError,
-    UnknownBusError,
-    UnknownComponentError,
-)
+from fdpassivity.errors import UnknownBusError, UnknownComponentError
 from fdpassivity.network import (
     Branch,
     Device,
@@ -27,14 +23,8 @@ from fdpassivity.network import (
     directional_nodal_sensitivity,
     incidence,
     nodal_param_sensitivity,
-    nodal_passivity,
     nodal_passivity_sweep,
-    nodal_sensitivity_at,
-    nodal_sensitivity_branch,
-    nodal_sensitivity_shunt,
-    participation,
     participation_sweep,
-    participation_table,
 )
 from fdpassivity.numerics import hermitian_eigen, inverse
 from fdpassivity.passivity import hermitian_part, log_omega_grid
@@ -53,6 +43,15 @@ def two_bus_symmetric():
 
 def nodal_index_of(y):
     return hermitian_eigen(y + y.conj().T).values[0]
+
+
+def nodal_eigen_of(net, w):
+    """Independent eigendecomposition of H_n at one frequency."""
+    return hermitian_eigen(hermitian_part(assemble_nodal(net, 1j * w)))
+
+
+def min_vector_at(net, w):
+    return nodal_passivity_sweep(net, [w]).min_vectors[0]
 
 
 def test_network_validation():
@@ -144,9 +143,8 @@ def test_passive_networks_have_nonnegative_nodal_index():
     rng = np.random.default_rng(43)
     for _ in range(10):
         net = random_passive_network(rng, int(rng.integers(1, 6)))
-        for f in (2.0, 60.0, 700.0):
-            p = nodal_passivity(net, 2 * math.pi * f)
-            assert p.index >= -1e-12
+        sweep = nodal_passivity_sweep(net, 2 * math.pi * np.array([2.0, 60.0, 700.0]))
+        assert np.all(sweep.indices >= -1e-12)
 
 
 def test_single_bus_reduction():
@@ -182,23 +180,29 @@ def test_closed_loop_impedance(three_bus_network):
 
 def test_nodal_passivity_point(three_bus_network):
     w = 2 * math.pi * 40.0
-    p = nodal_passivity(three_bus_network, w)
-    assert p.omega == w
-    assert p.spectrum.shape == (6,)
-    assert np.all(np.diff(p.spectrum) >= 0)
-    assert p.spectrum[0] == p.index
-    assert p.eigen_gap == pytest.approx(p.spectrum[1] - p.spectrum[0])
-    assert np.linalg.norm(p.min_vector) == pytest.approx(1.0, rel=1e-12)
+    sweep = nodal_passivity_sweep(three_bus_network, 2 * math.pi * np.array([5.0, 40.0, 400.0]))
+    k = 1
+    spectrum, phi, index = sweep.spectra[k], sweep.min_vectors[k], sweep.indices[k]
+    assert sweep.omegas[k] == w
+    assert spectrum.shape == (6,)
+    assert np.all(np.diff(spectrum) >= 0)
+    assert spectrum[0] == index
+    assert sweep.eigen_gaps[k] == pytest.approx(spectrum[1] - spectrum[0])
+    assert np.linalg.norm(phi) == pytest.approx(1.0, rel=1e-12)
     h = assemble_nodal(three_bus_network, 1j * w)
     h = h + h.conj().T
-    assert np.linalg.norm(h @ p.min_vector - p.index * p.min_vector) <= 1e-10 * np.linalg.norm(h)
+    assert np.linalg.norm(h @ phi - index * phi) <= 1e-10 * np.linalg.norm(h)
 
 
 def test_nodal_sweep_matches_pointwise(three_bus_network):
     om = log_omega_grid(1.0, 2000.0, 16)
     sweep = nodal_passivity_sweep(three_bus_network, om)
+    assert not np.any(sweep.degenerate)
     for k, w in enumerate(om):
-        assert sweep.indices[k] == nodal_passivity(three_bus_network, w).index
+        eig = nodal_eigen_of(three_bus_network, w)
+        assert sweep.indices[k] == eig.min_value
+        assert np.array_equal(sweep.spectra[k], eig.values)
+        assert np.array_equal(sweep.min_vectors[k], eig.min_vector)
 
 
 def test_three_bus_loses_passivity_in_pll_band(three_bus_network):
@@ -213,8 +217,10 @@ def test_nodal_shunt_sensitivity_matches_finite_difference(three_bus_network):
     w = 2 * math.pi * 40.0
     rng = np.random.default_rng(0)
     dy = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    d = nodal_sensitivity_shunt(three_bus_network, w, 1, dy)
-    assert d == nodal_sensitivity_shunt(three_bus_network, w, "b2", dy)
+    phi = min_vector_at(three_bus_network, w)
+    d = directional_nodal_sensitivity(phi, component(three_bus_network, "sh@b2"), dy)
+    # any shunt-connected component at b2 sees the same window
+    assert d == directional_nodal_sensitivity(phi, component(three_bus_network, "GFM-2"), dy)
     eps = 1e-7
     yp = assemble_nodal(three_bus_network, 1j * w).copy()
     ym = yp.copy()
@@ -228,7 +234,8 @@ def test_nodal_branch_sensitivity_matches_finite_difference(three_bus_network):
     w = 2 * math.pi * 40.0
     rng = np.random.default_rng(0)
     dy = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    d = nodal_sensitivity_branch(three_bus_network, w, 1, dy)  # b2-b3
+    phi = min_vector_at(three_bus_network, w)
+    d = directional_nodal_sensitivity(phi, component(three_bus_network, "b2-b3#1"), dy)
     eps = 1e-7
     yp = assemble_nodal(three_bus_network, 1j * w).copy()
     ym = yp.copy()
@@ -244,7 +251,9 @@ def test_symmetric_branch_window_vanishes(three_bus_network):
     # symmetric across b1/b2 and the b1-b2 branch window collapses
     w = 2 * math.pi * 40.0
     dy = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    assert abs(nodal_sensitivity_branch(three_bus_network, w, 0, dy)) <= 1e-12
+    phi = min_vector_at(three_bus_network, w)
+    ref = component(three_bus_network, "b1-b2#1")
+    assert abs(directional_nodal_sensitivity(phi, ref, dy)) <= 1e-12
 
 
 @pytest.mark.parametrize("f_hz", [300.0, 1000.0])
@@ -266,25 +275,24 @@ def test_identical_gfms_pair_lowest_eigenvalues(three_bus_network, f_hz):
 
 def test_nodal_sensitivity_errors(three_bus_network):
     w = 2 * math.pi * 40.0
-    dy = np.eye(2, dtype=complex)
-    with pytest.raises(UnknownBusError):
-        nodal_sensitivity_shunt(three_bus_network, w, 7, dy)
     with pytest.raises(UnknownComponentError):
-        nodal_sensitivity_branch(three_bus_network, w, 9, dy)
-    with pytest.raises(UnknownComponentError):
-        nodal_sensitivity_at(three_bus_network, "nope", "r", w)
+        nodal_param_sensitivity(three_bus_network, "nope", "r", [w])
     # all-capacitor bus: H_n vanishes, the minimum eigenvalue is degenerate
     cap_only = Network(buses=("b1",), shunts=(Shunt("b1", ShuntCapacitor(0.3, WB)),))
-    with pytest.raises(DegenerateEigenvalueError):
-        nodal_sensitivity_shunt(cap_only, w, 0, dy)
-    with pytest.raises(DegenerateEigenvalueError):
-        participation(cap_only, w, "sh@b1")
+    assert nodal_passivity_sweep(cap_only, [w]).degenerate[0]
+    series = nodal_param_sensitivity(cap_only, "sh@b1", "b", [w])
+    assert series.degenerate[0]
+    assert np.isnan(series.derivatives[0])
+    table = participation_sweep(cap_only, [w])
+    assert table.degenerate[0]
+    assert np.all(np.isnan(table.values[:, 0]))
 
 
 def test_nodal_param_sensitivity_matches_rebuilt_network(three_bus_network):
     w = 2 * math.pi * 40.0
-    idx, der = nodal_sensitivity_at(three_bus_network, "GFM-1", "d_vsm", w)
-    assert idx == nodal_passivity(three_bus_network, w).index
+    series = nodal_param_sensitivity(three_bus_network, "GFM-1", "d_vsm", [w])
+    idx, der = series.indices[0], series.derivatives[0]
+    assert idx == nodal_passivity_sweep(three_bus_network, [w]).indices[0]
 
     def rebuilt(value):
         devices = tuple(
@@ -295,8 +303,8 @@ def test_nodal_param_sensitivity_matches_rebuilt_network(three_bus_network):
                        shunts=three_bus_network.shunts, devices=devices)
 
     h = 300.0 * 1e-6
-    fd = (nodal_passivity(rebuilt(300.0 + h), w).index
-          - nodal_passivity(rebuilt(300.0 - h), w).index) / (2 * h)
+    fd = (nodal_passivity_sweep(rebuilt(300.0 + h), [w]).indices[0]
+          - nodal_passivity_sweep(rebuilt(300.0 - h), [w]).indices[0]) / (2 * h)
     assert der == pytest.approx(fd, rel=1e-3, abs=1e-14)
 
 
@@ -306,24 +314,26 @@ def test_nodal_param_sensitivity_sweep(three_bus_network):
     assert series.param_name == "k_p_pll"
     assert not np.any(series.degenerate)
     for k, w in enumerate(om):
-        idx, der = nodal_sensitivity_at(three_bus_network, "GFL-1", "k_p_pll", w)
-        assert series.indices[k] == idx
-        assert series.derivatives[k] == der
+        point = nodal_param_sensitivity(three_bus_network, "GFL-1", "k_p_pll", [w])
+        assert series.indices[k] == point.indices[0]
+        assert series.derivatives[k] == point.derivatives[0]
 
 
 def test_participation_sums_to_index(three_bus_network):
     for f in (5.0, 40.0, 400.0):
         w = 2 * math.pi * f
-        names, shares, index = participation_table(three_bus_network, w)
+        table = participation_sweep(three_bus_network, [w])
+        names, shares, index = table.names, table.values[:, 0], table.indices[0]
         assert len(names) == 9 and shares.shape == (9,)
         assert shares.sum() == pytest.approx(index, abs=1e-12)
-        for name, share in zip(names, shares):
-            assert participation(three_bus_network, w, name) == share
+        phi = nodal_eigen_of(three_bus_network, w).min_vector
+        for ref, share in zip(components(three_bus_network), shares):
+            assert directional_nodal_sensitivity(phi, ref, ref.model.admittance(1j * w)) == share
 
 
 def test_lossless_components_do_not_participate(three_bus_network):
-    names, shares, _ = participation_table(three_bus_network, 2 * math.pi * 40.0)
-    for name, share in zip(names, shares):
+    table = participation_sweep(three_bus_network, [2 * math.pi * 40.0])
+    for name, share in zip(table.names, table.values[:, 0]):
         if name.startswith("sh@"):
             assert abs(share) <= 1e-15
 
@@ -332,11 +342,11 @@ def test_identical_devices_participate_equally():
     net = two_bus_symmetric()
     for f in (5.0, 60.0, 300.0):
         w = 2 * math.pi * f
-        assert nodal_passivity(net, w).eigen_gap > 1e-2
-        names, shares, index = participation_table(net, w)
-        by_name = dict(zip(names, shares))
+        assert nodal_passivity_sweep(net, [w]).eigen_gaps[0] > 1e-2
+        table = participation_sweep(net, [w])
+        by_name = dict(zip(table.names, table.values[:, 0]))
         assert by_name["L-a"] == pytest.approx(by_name["L-b"], rel=1e-9)
-        assert by_name["L-a"] + by_name["L-b"] == pytest.approx(index, rel=1e-9)
+        assert by_name["L-a"] + by_name["L-b"] == pytest.approx(table.indices[0], rel=1e-9)
 
 
 def test_participation_sweep_table(three_bus_network):
@@ -347,12 +357,16 @@ def test_participation_sweep_table(three_bus_network):
     assert not np.any(table.degenerate)
     assert np.allclose(table.values.sum(axis=0), table.indices, atol=1e-12)
     for k, w in enumerate(om):
-        _, shares, index = participation_table(three_bus_network, w)
+        eig = nodal_eigen_of(three_bus_network, w)
+        shares = np.array([
+            directional_nodal_sensitivity(eig.min_vector, ref, ref.model.admittance(1j * w))
+            for ref in components(three_bus_network)
+        ])
         assert np.array_equal(table.values[:, k], shares)
-        assert table.indices[k] == index
+        assert table.indices[k] == eig.min_value
 
 
 def test_directional_sensitivity_zero_direction(three_bus_network):
     ref = component(three_bus_network, "GFM-1")
-    phi = nodal_passivity(three_bus_network, 2 * math.pi * 40.0).min_vector
+    phi = min_vector_at(three_bus_network, 2 * math.pi * 40.0)
     assert directional_nodal_sensitivity(phi, ref, np.zeros((2, 2))) == 0.0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fdpassivity.devices import RlBranch, ShuntCapacitor, param_derivative
-from fdpassivity.errors import DegenerateEigenvalueError
 from fdpassivity.numerics import hermitian_eigen
 from fdpassivity.passivity import (
     first_order_prediction,
@@ -17,7 +16,6 @@ from fdpassivity.passivity import (
     param_passivity_sensitivity,
     passivity_eigen,
     passivity_index,
-    passivity_sensitivity_at,
 )
 
 from conftest import WB
@@ -110,7 +108,8 @@ def test_index_sweep_accessors(gfl_model):
 def test_sensitivity_matches_finite_difference(gfl_model):
     for f, name in ((12.0, "k_p_pll"), (55.0, "l_c"), (700.0, "r_c")):
         w = 2 * math.pi * f
-        idx, der = passivity_sensitivity_at(gfl_model, name, w)
+        series = param_passivity_sensitivity(gfl_model, name, [w])
+        idx, der = series.indices[0], series.derivatives[0]
         assert idx == pytest.approx(passivity_index(gfl_model.admittance(1j * w)), rel=1e-12)
         rho = gfl_model.get_param(name)
         h = max(abs(rho), 1.0) * 1e-6
@@ -122,7 +121,7 @@ def test_sensitivity_matches_finite_difference(gfl_model):
 def test_sensitivity_from_eigenvector_identity(gfl_model):
     # d index = phi^H (dY + dY^H) phi for the minimizing unit eigenvector phi
     w = 2 * math.pi * 40.0
-    _, der = passivity_sensitivity_at(gfl_model, "k_p_pll", w)
+    der = param_passivity_sensitivity(gfl_model, "k_p_pll", [w]).derivatives[0]
     eig = passivity_eigen(gfl_model.admittance(1j * w))
     dy = param_derivative(gfl_model, "k_p_pll", 1j * w)
     phi = eig.min_vector
@@ -131,8 +130,9 @@ def test_sensitivity_from_eigenvector_identity(gfl_model):
 
 
 def test_sensitivity_rejects_degenerate_point():
-    with pytest.raises(DegenerateEigenvalueError):
-        passivity_sensitivity_at(ShuntCapacitor(0.3, WB), "b", 2 * math.pi * 60.0)
+    series = param_passivity_sensitivity(ShuntCapacitor(0.3, WB), "b", [2 * math.pi * 60.0])
+    assert series.degenerate[0]
+    assert np.isnan(series.derivatives[0])
 
 
 def test_sensitivity_series_flags_degenerate_points():
@@ -148,9 +148,9 @@ def test_sensitivity_series_matches_pointwise(gfl_model):
     series = param_passivity_sensitivity(gfl_model, "k_p_pll", om)
     assert not np.any(series.degenerate)
     for k, w in enumerate(om):
-        idx, der = passivity_sensitivity_at(gfl_model, "k_p_pll", w)
-        assert series.indices[k] == idx
-        assert series.derivatives[k] == der
+        point = param_passivity_sensitivity(gfl_model, "k_p_pll", [w])
+        assert series.indices[k] == point.indices[0]
+        assert series.derivatives[k] == point.derivatives[0]
 
 
 def test_first_order_prediction_shrinks_quadratically(gfl_model):
