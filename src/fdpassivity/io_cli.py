@@ -6,9 +6,12 @@ may be run on it.  Loading is total: a file either yields a fully
 validated Scenario (black-box tables pre-loaded) or a structured error
 listing every violated constraint.
 
+Each analysis is one entry of a table keyed by its name: its declared
+options, the function that runs it and an optional summary line.  Option
+checking, dispatch and the CLI's subcommands all read that table.
+
 Results are flat tables written as RFC-4180-style CSV at 17 significant
-digits, so re-parsing reproduces every float exactly.  Run metadata
-(scenario hash, analysis, timestamp) stays in memory; output files carry
+digits, so re-parsing reproduces every float exactly.  Output files carry
 data only and are byte-identical across runs and thread counts.
 
 SVG emission is deliberately dependency-free: log-frequency line charts
@@ -19,22 +22,20 @@ marked.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
 import sys
-import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import network as net
 from . import passivity, stability
 from .devices import (
-    BlackBoxModel,
     DeviceModel,
     GflConverterL1,
     GflParams,
@@ -50,48 +51,41 @@ from .errors import (
     NumericalFailure,
     ScenarioParseError,
     ScenarioValidationError,
-    UnknownComponentError,
     ValidationFailure,
 )
 
-ANALYSES = (
-    "device-passivity",
-    "device-sens",
-    "nodal-passivity",
-    "nodal-sens",
-    "participation",
-    "gnc",
-    "fdpf",
-    "modes",
-)
-
-_MODEL_KINDS = ("rl", "shunt_c", "thevenin", "gfl_l1", "gfm_l1", "blackbox")
+# kind -> (model class, the dataclass whose fields are its "params",
+#          params that must be positive).  A converter's op is parsed apart.
+_MODELS = {
+    "rl": (RlBranch, RlBranch, ()),
+    "shunt_c": (ShuntCapacitor, ShuntCapacitor, ("b",)),
+    "thevenin": (TheveninGrid, TheveninGrid, ("scr", "xr_ratio")),
+    "gfl_l1": (GflConverterL1, GflParams, ()),
+    "gfm_l1": (GfmConverterL1, GfmParams, ()),
+}
+_MODEL_KINDS = (*_MODELS, "blackbox")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated analysis configuration."""
+    """Validated analysis configuration; analyses map each declared
+    analysis to its options, defaults filled in."""
 
     name: str
-    s_base_va: float
-    v_base_v: float
-    f_base_hz: float
     omega_b: float
     omegas: np.ndarray
     network: net.Network
     standalone_stable: bool
     analyses: dict
-    source_hash: str
 
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Column-named numeric table; meta is never serialized."""
+    """Column-named numeric table."""
 
     name: str
     columns: tuple[str, ...]
     rows: np.ndarray  # (n_rows, n_columns) float
-    meta: dict
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -105,10 +99,9 @@ class ResultTable:
 
 # --- scenario loading -------------------------------------------------------
 
-def _num(doc, key, ctx, violations, required=True, positive=False):
+def _num(doc, key, ctx, violations, positive=False):
     if key not in doc:
-        if required:
-            violations.append(f"{ctx}: missing required field {key!r}")
+        violations.append(f"{ctx}: missing required field {key!r}")
         return None
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -124,10 +117,9 @@ def _num(doc, key, ctx, violations, required=True, positive=False):
     return v
 
 
-def _str(doc, key, ctx, violations, required=True):
+def _str(doc, key, ctx, violations):
     if key not in doc:
-        if required:
-            violations.append(f"{ctx}: missing required field {key!r}")
+        violations.append(f"{ctx}: missing required field {key!r}")
         return None
     v = doc[key]
     if not isinstance(v, str) or not v:
@@ -136,27 +128,30 @@ def _str(doc, key, ctx, violations, required=True):
     return v
 
 
-def _params_from(doc, cls, ctx, violations):
-    """Build a parameter dataclass from a JSON object, defaulting missing
-    fields and rejecting unknown or non-numeric ones."""
-    known = {f.name for f in fields(cls)}
+def _reject_unknown(given, known, ctx, what, violations):
+    for key in given:
+        if key not in known:
+            violations.append(
+                f"{ctx}.{key}: unknown {what} (known: {', '.join(sorted(known)) or 'none'})")
+
+
+def _params_from(doc, cls, positive, ctx, violations) -> dict | None:
+    """Values for the fields of dataclass cls (omega_b excepted) from the
+    JSON "params" object: a field with a default may be left out; unknown
+    and non-numeric entries are violations."""
     given = doc.get("params", {})
     if not isinstance(given, dict):
         violations.append(f"{ctx}.params: expected an object")
         return None
-    out = {}
-    ok = True
-    for key, value in given.items():
-        if key not in known:
-            violations.append(f"{ctx}.params.{key}: unknown parameter (known: {', '.join(sorted(known))})")
-            ok = False
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(float(value)):
-            violations.append(f"{ctx}.params.{key}: expected a finite number")
-            ok = False
-            continue
-        out[key] = float(value)
-    return cls(**out) if ok else None
+    declared = {f.name: f for f in fields(cls) if f.name != "omega_b"}
+    before = len(violations)
+    _reject_unknown(given, declared, f"{ctx}.params", "parameter", violations)
+    values = {}
+    for name, f in declared.items():
+        if name in given or f.default is MISSING:
+            values[name] = _num(given, name, f"{ctx}.params", violations,
+                                positive=name in positive)
+    return values if len(violations) == before else None
 
 
 def _operating_point(doc, ctx, omega_b, violations):
@@ -180,44 +175,21 @@ def _build_model(doc, ctx, omega_b, base_dir, violations) -> DeviceModel | None:
         violations.append(f"{ctx}.kind: unknown model kind {kind!r} (known: {', '.join(_MODEL_KINDS)})")
         return None
     try:
-        if kind == "rl":
-            params = doc.get("params", {})
-            r = _num(params, "r", f"{ctx}.params", violations)
-            x = _num(params, "x", f"{ctx}.params", violations)
-            if None in (r, x):
-                return None
-            return RlBranch(r=r, x=x, omega_b=omega_b)
-        if kind == "shunt_c":
-            b = _num(doc.get("params", {}), "b", f"{ctx}.params", violations, positive=True)
-            return ShuntCapacitor(b=b, omega_b=omega_b) if b is not None else None
-        if kind == "thevenin":
-            params = doc.get("params", {})
-            scr = _num(params, "scr", f"{ctx}.params", violations, positive=True)
-            xr = _num(params, "xr_ratio", f"{ctx}.params", violations, positive=True)
-            if None in (scr, xr):
-                return None
-            return TheveninGrid(scr=scr, xr_ratio=xr, omega_b=omega_b)
-        if kind == "gfl_l1":
-            params = _params_from(doc, GflParams, ctx, violations)
-            op = _operating_point(doc, ctx, omega_b, violations)
-            if params is None or op is None:
-                return None
-            return GflConverterL1(params=params, op=op)
-        if kind == "gfm_l1":
-            params = _params_from(doc, GfmParams, ctx, violations)
-            op = _operating_point(doc, ctx, omega_b, violations)
-            if params is None or op is None:
-                return None
-            return GfmConverterL1(params=params, op=op)
-        # blackbox: table loaded now so later evaluation cannot hit I/O
-        rel = _str(doc, "path", ctx, violations)
-        if rel is None:
+        if kind == "blackbox":
+            # the table is loaded now so later evaluation cannot hit I/O
+            if "params" in doc:
+                violations.append(f"{ctx}.params: a blackbox model takes no parameters")
+            rel = _str(doc, "path", ctx, violations)
+            return None if rel is None else read_blackbox_table(base_dir / rel)
+        cls, source, positive = _MODELS[kind]
+        values = _params_from(doc, source, positive, ctx, violations)
+        if source is cls:
+            return None if values is None else cls(**values, omega_b=omega_b)
+        op = _operating_point(doc, ctx, omega_b, violations)
+        if values is None or op is None:
             return None
-        return read_blackbox_table(base_dir / rel)
-    except ValidationFailure as exc:
-        violations.append(f"{ctx}: {exc}")
-        return None
-    except ValueError as exc:
+        return cls(params=source(**values), op=op)
+    except (ValidationFailure, ValueError) as exc:
         violations.append(f"{ctx}: {exc}")
         return None
 
@@ -291,12 +263,13 @@ def load_scenario(path) -> Scenario:
     name = doc.get("name") or p.stem
 
     base = doc.get("base")
-    s_va = v_v = f_hz = None
+    f_hz = None
     if not isinstance(base, dict):
         violations.append("base: missing or not an object (need s_va, v_v, f_hz)")
     else:
-        s_va = _num(base, "s_va", "base", violations, positive=True)
-        v_v = _num(base, "v_v", "base", violations, positive=True)
+        # every quantity is per unit, so s_va and v_v are checked but not used
+        _num(base, "s_va", "base", violations, positive=True)
+        _num(base, "v_v", "base", violations, positive=True)
         f_hz = _num(base, "f_hz", "base", violations, positive=True)
     omega_b = 2.0 * math.pi * f_hz if f_hz else 2.0 * math.pi * 60.0
 
@@ -379,9 +352,9 @@ def load_scenario(path) -> Scenario:
             violations.append(f"network: {exc}")
 
     analyses = doc.get("analyses", {})
+    resolved = {}
     if not isinstance(analyses, dict):
         violations.append("analyses: expected an object keyed by analysis name")
-        analyses = {}
     else:
         for aname, opts in analyses.items():
             ctx = f"analyses.{aname}"
@@ -392,88 +365,238 @@ def load_scenario(path) -> Scenario:
                 violations.append(f"{ctx}: expected an options object")
                 continue
             if network is not None:
-                _check_analysis_options(aname, opts, ctx, network, violations)
+                resolved[aname] = _resolve_options(_ANALYSIS_TABLE[aname].options, opts, ctx,
+                                                   network, violations)
 
     if violations:
         raise ScenarioValidationError(violations)
 
-    return Scenario(
-        name=name,
-        s_base_va=s_va,
-        v_base_v=v_v,
-        f_base_hz=f_hz,
-        omega_b=omega_b,
-        omegas=omegas,
-        network=network,
-        standalone_stable=standalone,
-        analyses=analyses,
-        source_hash=hashlib.sha256(raw).hexdigest(),
-    )
+    return Scenario(name=name, omega_b=omega_b, omegas=omegas, network=network,
+                    standalone_stable=standalone, analyses=resolved)
 
 
-def _check_analysis_options(aname, opts, ctx, network, violations):
-    device_names = {d.name for d in network.devices}
-    component_names = {ref.name for ref in net.components(network)}
+# --- analysis options -------------------------------------------------------
 
-    def need_device():
-        dev = opts.get("device")
-        if not isinstance(dev, str) or dev not in device_names:
-            violations.append(f"{ctx}.device: expected one of {sorted(device_names)}, got {dev!r}")
-            return None
-        return dev
+class _Option(NamedTuple):
+    name: str
+    # (value, the valid options declared before it, network) -> what was
+    # expected, or None when the value is acceptable
+    check: Callable
+    default: object = None  # None: the option is required
 
-    def need_param(model):
-        par = opts.get("param")
-        if model is None:
-            return
-        if not isinstance(par, str) or par not in model.param_names():
-            violations.append(
-                f"{ctx}.param: expected one of {sorted(model.param_names())}, got {par!r}")
 
-    if aname == "device-passivity":
-        need_device()
-    elif aname == "device-sens":
-        dev = need_device()
-        if dev is not None:
-            model = next(d.model for d in network.devices if d.name == dev)
-            need_param(model)
-        delta = opts.get("delta_pct", 5.0)
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or delta == 0:
-            violations.append(f"{ctx}.delta_pct: expected a nonzero number")
-    elif aname == "nodal-sens":
-        comp = opts.get("component")
-        if not isinstance(comp, str) or comp not in component_names:
-            violations.append(
-                f"{ctx}.component: expected one of {sorted(component_names)}, got {comp!r}")
+def _resolve_options(declared, opts, ctx, network, violations) -> dict:
+    """Every declared option, defaults filled in; each bad or unknown key
+    is a violation."""
+    _reject_unknown(opts, [o.name for o in declared], ctx, "option", violations)
+    done = {}
+    for opt in declared:
+        value = opts.get(opt.name, opt.default)
+        expected = opt.check(value, done, network)
+        if expected is None:
+            done[opt.name] = value
         else:
-            need_param(net.component(network, comp).model)
-    elif aname == "fdpf":
-        f = opts.get("f_hz")
-        if isinstance(f, bool) or not isinstance(f, (int, float)) or not f > 0:
-            violations.append(f"{ctx}.f_hz: expected a positive number")
-    # participation, nodal-passivity, gnc, modes need no extra options
+            violations.append(f"{ctx}.{opt.name}: expected {expected}")
+    return done
 
 
-# --- analysis dispatch ------------------------------------------------------
-
-def _meta(scenario: Scenario, analysis: str) -> dict:
-    return {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.source_hash,
-        "analysis": analysis,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
+def _devices(network) -> dict[str, DeviceModel]:
+    return {d.name: d.model for d in network.devices}
 
 
-def _device_model(scenario: Scenario, name: str) -> DeviceModel:
-    for dev in scenario.network.devices:
-        if dev.name == name:
-            return dev.model
-    raise UnknownComponentError(f"no device named {name!r}")
+def _components(network) -> dict[str, DeviceModel]:
+    return {ref.name: ref.model for ref in net.components(network)}
 
 
-def _pct_label(delta_pct: float) -> str:
-    return f"{delta_pct:g}".replace("-", "m").replace(".", "p")
+def _one_of(names, value):
+    names = sorted(names)
+    return None if value in names else f"one of {names}, got {value!r}"
+
+
+def _named(models):
+    """Option naming one of the models that models(network) maps by name."""
+    return lambda value, done, network: _one_of(models(network), value)
+
+
+def _param_of(owner, models):
+    """Option naming a parameter of the model that option owner names."""
+    def check(value, done, network):
+        if owner not in done:
+            return None  # owner's own violation already reported
+        return _one_of(models(network)[done[owner]].param_names(), value)
+    return check
+
+
+def _number(expected, ok=lambda value, done: True):
+    """Finite JSON number for which ok(value, done) holds."""
+    def check(value, done, network):
+        finite = (not isinstance(value, bool) and isinstance(value, (int, float))
+                  and math.isfinite(value))
+        return None if finite and ok(value, done) else expected
+    return check
+
+
+# --- analyses ---------------------------------------------------------------
+
+def _run_device_passivity(sc: Scenario, opts, freqs):
+    sweep = passivity.index_sweep(_devices(sc.network)[opts["device"]], sc.omegas)
+    rows = np.column_stack([freqs, sweep.indices, sweep.eigen_gaps])
+    return [ResultTable(f"device_passivity_{opts['device']}",
+                        ("freq_hz", "index", "eigen_gap"), rows)]
+
+
+def _run_device_sens(sc: Scenario, opts, freqs):
+    model = _devices(sc.network)[opts["device"]]
+    param, delta_pct = opts["param"], float(opts["delta_pct"])
+    rho = model.get_param(param)
+    delta = rho * delta_pct / 100.0 if rho != 0 else delta_pct / 100.0
+    pred = passivity.first_order_prediction(model, param, sc.omegas, delta)
+    label = f"{delta_pct:g}".replace("-", "m").replace(".", "p")
+    rows = np.column_stack([
+        freqs, pred.base, (pred.predicted - pred.base) / pred.delta,
+        pred.predicted, pred.actual,
+    ])
+    return [ResultTable(
+        f"device_sens_{opts['device']}_{param}",
+        ("freq_hz", "index", "d_index",
+         f"predicted_after_{label}pct", f"exact_after_{label}pct"),
+        rows)]
+
+
+def _run_nodal_passivity(sc: Scenario, opts, freqs):
+    sweep = net.nodal_passivity_sweep(sc.network, sc.omegas)
+    columns = ["freq_hz", "nodal_index"]
+    series = [freqs, sweep.indices]
+    for dev in sc.network.devices:
+        columns.append(f"index_{dev.name}")
+        series.append(passivity.index_sweep(dev.model, sc.omegas).indices)
+    return [ResultTable("nodal_passivity", tuple(columns), np.column_stack(series))]
+
+
+def _run_nodal_sens(sc: Scenario, opts, freqs):
+    comp, param = opts["component"], opts["param"]
+    sens = net.nodal_param_sensitivity(sc.network, comp, param, sc.omegas)
+    rows = np.column_stack([freqs, sens.indices, sens.derivatives,
+                            sens.degenerate.astype(float)])
+    return [ResultTable(f"nodal_sens_{comp}_{param}",
+                        ("freq_hz", "nodal_index", "d_index", "degenerate"), rows)]
+
+
+def _run_participation(sc: Scenario, opts, freqs):
+    table = net.participation_sweep(sc.network, sc.omegas)
+    columns = ["freq_hz", "nodal_index"] + [f"p_{n}" for n in table.names] + ["degenerate"]
+    rows = np.column_stack([freqs, table.indices, table.values.T,
+                            table.degenerate.astype(float)])
+    return [ResultTable("participation", tuple(columns), rows)]
+
+
+def _run_gnc(sc: Scenario, opts, freqs):
+    loci, verdict = stability.gnc_auto(
+        sc.network,
+        f_min_hz=float(freqs[0]),
+        f_max_hz=float(freqs[-1]),
+        points=len(sc.omegas),
+    )
+    columns = ["freq_hz"]
+    series = [loci.omegas / (2.0 * math.pi)]
+    for t in range(loci.loci.shape[0]):
+        columns += [f"re_locus_{t + 1}", f"im_locus_{t + 1}"]
+        series += [loci.loci[t].real, loci.loci[t].imag]
+    verdict_row = [verdict.encirclements, float(verdict.stable), verdict.winding_float,
+                   verdict.min_critical_distance, float(sc.standalone_stable)]
+    return [
+        ResultTable("gnc_loci", tuple(columns), np.column_stack(series)),
+        ResultTable("gnc_verdict",
+                    ("encirclements", "stable", "winding_float",
+                     "min_critical_distance", "standalone_stable_asserted"),
+                    np.array([verdict_row])),
+    ]
+
+
+def _gnc_summary(tables):
+    row = tables[1].rows[0]
+    verdict = "stable" if row[1] else "unstable"
+    return (f"gnc verdict: {verdict} (encirclements={int(row[0])}, "
+            f"min distance to critical point={row[3]:.4g})")
+
+
+def _run_fdpf(sc: Scenario, opts, freqs):
+    f_hz = float(opts["f_hz"])
+    part = stability.fd_pf(sc.network, 1j * 2.0 * math.pi * f_hz)
+    diag = part.diagonal_by_bus()
+    rows = np.column_stack([
+        np.full(diag.size, f_hz),
+        np.arange(1.0, diag.size + 1.0),
+        diag.real, diag.imag, np.abs(diag),
+    ])
+    lam = part.critical_value
+    return [
+        ResultTable("fdpf", ("freq_hz", "bus", "re_participation",
+                             "im_participation", "abs_participation"), rows),
+        ResultTable("fdpf_critical", ("freq_hz", "re_lambda_c", "im_lambda_c", "n_tied"),
+                    np.array([[f_hz, lam.real, lam.imag, float(len(part.tied_with))]])),
+    ]
+
+
+def _run_modes(sc: Scenario, opts, freqs):
+    scan = stability.mode_scan(
+        sc.network, sc.omega_b,
+        re_range=(float(opts["re_min"]), float(opts["re_max"])),
+        im_range=(0.0, 2.0 * math.pi * float(opts["f_max_hz"])),
+    )
+    modes = sorted(scan.modes, key=lambda m: (m.frequency_hz, m.lam.real))
+    rows = np.array([
+        [m.frequency_hz, m.lam.real, m.lam.imag, m.residual, float(m.iterations)]
+        for m in modes
+    ]).reshape(len(modes), 5)
+    return [
+        ResultTable("modes", ("freq_hz", "re_lambda", "im_lambda", "residual", "iterations"),
+                    rows),
+        ResultTable("modes_verdict", ("unstable", "n_modes"),
+                    np.array([[float(scan.unstable), float(len(modes))]])),
+    ]
+
+
+def _modes_summary(tables):
+    row = tables[1].rows[0]
+    verdict = "unstable" if row[0] else "stable"
+    return f"mode scan: {verdict} ({int(row[1])} distinct modes found)"
+
+
+class _Analysis(NamedTuple):
+    options: tuple[_Option, ...]
+    # (scenario, resolved options, grid in Hz) -> result tables
+    run: Callable[..., list[ResultTable]]
+    # result tables -> the line printed after the files are written
+    summary: Callable[[list[ResultTable]], str] | None = None
+
+
+_ANALYSIS_TABLE = {
+    "device-passivity": _Analysis((_Option("device", _named(_devices)),), _run_device_passivity),
+    "device-sens": _Analysis((
+        _Option("device", _named(_devices)),
+        _Option("param", _param_of("device", _devices)),
+        _Option("delta_pct", _number("a nonzero number", lambda v, done: v != 0), 5.0),
+    ), _run_device_sens),
+    "nodal-passivity": _Analysis((), _run_nodal_passivity),
+    "nodal-sens": _Analysis((
+        _Option("component", _named(_components)),
+        _Option("param", _param_of("component", _components)),
+    ), _run_nodal_sens),
+    "participation": _Analysis((), _run_participation),
+    "gnc": _Analysis((), _run_gnc, _gnc_summary),
+    "fdpf": _Analysis((_Option("f_hz", _number("a positive number", lambda v, done: v > 0)),),
+                      _run_fdpf),
+    "modes": _Analysis((
+        _Option("re_min", _number("a number"), -500.0),
+        _Option("re_max", _number("a number above re_min",
+                                  lambda v, done: "re_min" not in done or v > done["re_min"]),
+                200.0),
+        _Option("f_max_hz", _number("a positive number", lambda v, done: v > 0), 500.0),
+    ), _run_modes, _modes_summary),
+}
+
+ANALYSES = tuple(_ANALYSIS_TABLE)
 
 
 def run(scenario: Scenario, analysis_name: str) -> list[ResultTable]:
@@ -483,136 +606,14 @@ def run(scenario: Scenario, analysis_name: str) -> list[ResultTable]:
     if analysis_name not in scenario.analyses:
         raise ScenarioValidationError(
             [f"analysis {analysis_name!r} is not declared in scenario {scenario.name!r}"])
-    opts = scenario.analyses[analysis_name]
-    omegas = scenario.omegas
-    freqs = omegas / (2.0 * math.pi)
-    meta = _meta(scenario, analysis_name)
-
-    if analysis_name == "device-passivity":
-        model = _device_model(scenario, opts["device"])
-        sweep = passivity.index_sweep(model, omegas)
-        rows = np.column_stack([freqs, sweep.indices, sweep.eigen_gaps])
-        return [ResultTable(f"device_passivity_{opts['device']}",
-                            ("freq_hz", "index", "eigen_gap"), rows, meta)]
-
-    if analysis_name == "device-sens":
-        model = _device_model(scenario, opts["device"])
-        param = opts["param"]
-        delta_pct = float(opts.get("delta_pct", 5.0))
-        rho = model.get_param(param)
-        delta = rho * delta_pct / 100.0 if rho != 0 else delta_pct / 100.0
-        pred = passivity.first_order_prediction(model, param, omegas, delta)
-        label = _pct_label(delta_pct)
-        rows = np.column_stack([
-            freqs, pred.base, (pred.predicted - pred.base) / pred.delta,
-            pred.predicted, pred.actual,
-        ])
-        return [ResultTable(
-            f"device_sens_{opts['device']}_{param}",
-            ("freq_hz", "index", "d_index",
-             f"predicted_after_{label}pct", f"exact_after_{label}pct"),
-            rows, meta)]
-
-    if analysis_name == "nodal-passivity":
-        sweep = net.nodal_passivity_sweep(scenario.network, omegas)
-        columns = ["freq_hz", "nodal_index"]
-        series = [freqs, sweep.indices]
-        for dev in scenario.network.devices:
-            standalone = passivity.index_sweep(dev.model, omegas)
-            columns.append(f"index_{dev.name}")
-            series.append(standalone.indices)
-        return [ResultTable("nodal_passivity", tuple(columns),
-                            np.column_stack(series), meta)]
-
-    if analysis_name == "nodal-sens":
-        comp, param = opts["component"], opts["param"]
-        sens = net.nodal_param_sensitivity(scenario.network, comp, param, omegas)
-        rows = np.column_stack([freqs, sens.indices, sens.derivatives,
-                                sens.degenerate.astype(float)])
-        return [ResultTable(f"nodal_sens_{comp}_{param}",
-                            ("freq_hz", "nodal_index", "d_index", "degenerate"),
-                            rows, meta)]
-
-    if analysis_name == "participation":
-        table = net.participation_sweep(scenario.network, omegas)
-        columns = ["freq_hz", "nodal_index"] + [f"p_{n}" for n in table.names] + ["degenerate"]
-        rows = np.column_stack([freqs, table.indices, table.values.T,
-                                table.degenerate.astype(float)])
-        return [ResultTable("participation", tuple(columns), rows, meta)]
-
-    if analysis_name == "gnc":
-        loci, verdict = stability.gnc_auto(
-            scenario.network,
-            f_min_hz=float(freqs[0]),
-            f_max_hz=float(freqs[-1]),
-            points=len(omegas),
-        )
-        m = loci.loci.shape[0]
-        columns = ["freq_hz"]
-        series = [loci.omegas / (2.0 * math.pi)]
-        for t in range(m):
-            columns += [f"re_locus_{t + 1}", f"im_locus_{t + 1}"]
-            series += [loci.loci[t].real, loci.loci[t].imag]
-        loci_table = ResultTable("gnc_loci", tuple(columns),
-                                 np.column_stack(series), meta)
-        verdict_table = ResultTable(
-            "gnc_verdict",
-            ("encirclements", "stable", "winding_float",
-             "min_critical_distance", "standalone_stable_asserted"),
-            np.array([[verdict.encirclements, float(verdict.stable),
-                       verdict.winding_float, verdict.min_critical_distance,
-                       float(scenario.standalone_stable)]]),
-            meta)
-        return [loci_table, verdict_table]
-
-    if analysis_name == "fdpf":
-        f_hz = float(opts["f_hz"])
-        part = stability.fd_pf(scenario.network, 1j * 2.0 * math.pi * f_hz)
-        diag = part.diagonal_by_bus()
-        rows = np.column_stack([
-            np.full(diag.size, f_hz),
-            np.arange(1.0, diag.size + 1.0),
-            diag.real, diag.imag, np.abs(diag),
-        ])
-        table = ResultTable("fdpf",
-                            ("freq_hz", "bus", "re_participation",
-                             "im_participation", "abs_participation"),
-                            rows, meta)
-        lam = part.critical_value
-        crit = ResultTable(
-            "fdpf_critical",
-            ("freq_hz", "re_lambda_c", "im_lambda_c", "n_tied"),
-            np.array([[f_hz, lam.real, lam.imag, float(len(part.tied_with))]]),
-            meta)
-        return [table, crit]
-
-    # modes
-    re_min = float(opts.get("re_min", -500.0))
-    re_max = float(opts.get("re_max", 200.0))
-    f_max = float(opts.get("f_max_hz", 500.0))
-    scan = stability.mode_scan(
-        scenario.network, scenario.omega_b,
-        re_range=(re_min, re_max),
-        im_range=(0.0, 2.0 * math.pi * f_max),
-    )
-    modes = sorted(scan.modes, key=lambda m: (m.frequency_hz, m.lam.real))
-    rows = np.array([
-        [m.frequency_hz, m.lam.real, m.lam.imag, m.residual, float(m.iterations)]
-        for m in modes
-    ]).reshape(len(modes), 5)
-    table = ResultTable("modes",
-                        ("freq_hz", "re_lambda", "im_lambda", "residual", "iterations"),
-                        rows, meta)
-    verdict = ResultTable("modes_verdict", ("unstable", "n_modes"),
-                          np.array([[float(scan.unstable), float(len(modes))]]),
-                          meta)
-    return [table, verdict]
+    return _ANALYSIS_TABLE[analysis_name].run(
+        scenario, scenario.analyses[analysis_name], scenario.omegas / (2.0 * math.pi))
 
 
 # --- serialization ----------------------------------------------------------
 
 def emit_csv(table: ResultTable, path) -> None:
-    """Header plus rows at 17 significant digits; metadata stays in memory."""
+    """Header plus rows at 17 significant digits."""
     lines = [",".join(table.columns)]
     for row in table.rows:
         lines.append(",".join(f"{v:.17g}" for v in row))
@@ -625,9 +626,7 @@ def read_result_csv(path) -> ResultTable:
     lines = [ln for ln in text.splitlines() if ln]
     columns = tuple(lines[0].split(","))
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if rows.size == 0:
-        rows = rows.reshape(0, len(columns))
-    return ResultTable(name=Path(path).stem, columns=columns, rows=rows, meta={})
+    return ResultTable(name=Path(path).stem, columns=columns, rows=rows)
 
 
 # --- SVG emission -----------------------------------------------------------
@@ -659,17 +658,51 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _path_d(xs: np.ndarray, ys: np.ndarray) -> str:
-    """SVG path data; non-finite samples split the path into segments."""
+def _px(v) -> str:
+    """An SVG coordinate: integers as they are, anything else to 0.01 px."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}"
+
+
+def _line(x1, y1, x2, y2, stroke, width, extra="") -> str:
+    return (f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"{extra}/>')
+
+
+def _rect(x, y, width, height) -> str:
+    return (f'<rect x="{_px(x)}" y="{_px(y)}" width="{_px(width)}" height="{_px(height)}" '
+            f'fill="none" stroke="#444" stroke-width="1"/>')
+
+
+def _text(x, y, text, size, fill="#333", anchor=None, extra="") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{_px(x)}" y="{_px(y)}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}" fill="{fill}"{extra}>{_esc(text)}</text>')
+
+
+def _series_path(color, xs, ys, sx, sy) -> str:
+    """One series; samples that map to no finite point split the path."""
     parts = []
     pen_down = False
     for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
+        px = sx(x) if math.isfinite(x) else math.nan
+        py = sy(y) if math.isfinite(y) else math.nan
+        if not (math.isfinite(px) and math.isfinite(py)):
             pen_down = False
             continue
-        parts.append(f"{'L' if pen_down else 'M'}{x:.2f} {y:.2f}")
+        parts.append(f"{'L' if pen_down else 'M'}{px:.2f} {py:.2f}")
         pen_down = True
-    return " ".join(parts)
+    return (f'<path class="series" fill="none" stroke="{color}" '
+            f'stroke-width="1.5" d="{" ".join(parts)}"/>')
+
+
+def _collect(tables, pairs, empty: str) -> list:
+    """(label, x, y) for every series pairs(table) yields; a label names its
+    table when several tables share the plot."""
+    series = [(f"{t.name}:{label}" if len(tables) > 1 else label, x, y)
+              for t in tables for label, x, y in pairs(t)]
+    if not series:
+        raise ValueError(empty)
+    return series
 
 
 def _svg_header(title: str) -> list[str]:
@@ -679,30 +712,17 @@ def _svg_header(title: str) -> list[str]:
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#111">{_esc(title)}</text>')
+        out.append(_text(_W // 2, 24, title, 15, "#111", "middle"))
     return out
 
 
-def _axes_frame() -> str:
-    x0, y0 = _ML, _H - _MB
-    x1, y1 = _W - _MR, _MT
-    return (f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-            f'fill="none" stroke="#444" stroke-width="1"/>')
+def _line_pairs(t: ResultTable):
+    for c in range(1, len(t.columns)):
+        yield t.columns[c], t.rows[:, 0], t.rows[:, c]
 
 
-def _svg_line_plot(tables: list[ResultTable], spec: PlotSpec) -> str:
-    series = []  # (label, x array, y array)
-    for table in tables:
-        x = table.rows[:, 0]
-        for c in range(1, len(table.columns)):
-            label = table.columns[c]
-            if len(tables) > 1:
-                label = f"{table.name}:{label}"
-            series.append((label, x, table.rows[:, c]))
-    if not series:
-        raise ValueError("nothing to plot")
+def _line_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
+    series = _collect(tables, _line_pairs, "nothing to plot")
 
     all_x = np.concatenate([x for _, x, _ in series])
     all_x = all_x[np.isfinite(all_x) & (all_x > 0)]
@@ -726,73 +746,58 @@ def _svg_line_plot(tables: list[ResultTable], spec: PlotSpec) -> str:
     def sy(y):
         return (_H - _MB) - (y - y0v) / (y1v - y0v) * (_H - _MT - _MB)
 
-    out = _svg_header(spec.title)
+    out = []
     # decade gridlines and x tick labels
     for k in range(math.ceil(lx0 - 1e-9), math.floor(lx1 + 1e-9) + 1):
         gx = sx(10.0 ** k)
-        out.append(f'<line x1="{gx:.2f}" y1="{_MT}" x2="{gx:.2f}" y2="{_H - _MB}" '
-                   f'stroke="#ddd" stroke-width="1"/>')
-        out.append(f'<text x="{gx:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11" fill="#333">{_fmt(10.0 ** k)}</text>')
+        out.append(_line(gx, _MT, gx, _H - _MB, "#ddd", 1))
+        out.append(_text(gx, _H - _MB + 18, _fmt(10.0 ** k), 11, anchor="middle"))
     # y ticks
     for t in np.linspace(y0v, y1v, 6):
         gy = sy(t)
-        out.append(f'<line x1="{_ML}" y1="{gy:.2f}" x2="{_W - _MR}" y2="{gy:.2f}" '
-                   f'stroke="#eee" stroke-width="1"/>')
-        out.append(f'<text x="{_ML - 6}" y="{gy + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11" fill="#333">{_fmt(t)}</text>')
+        out.append(_line(_ML, gy, _W - _MR, gy, "#eee", 1))
+        out.append(_text(_ML - 6, gy + 4, _fmt(t), 11, anchor="end"))
     # zero line when visible
     if y0v < 0 < y1v:
         gy = sy(0.0)
-        out.append(f'<line x1="{_ML}" y1="{gy:.2f}" x2="{_W - _MR}" y2="{gy:.2f}" '
-                   f'stroke="#999" stroke-width="1" stroke-dasharray="4 3"/>')
-    out.append(_axes_frame())
+        out.append(_line(_ML, gy, _W - _MR, gy, "#999", 1, ' stroke-dasharray="4 3"'))
+    out.append(_rect(_ML, _MT, _W - _MR - _ML, _H - _MB - _MT))
 
     for k, (label, x, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        keep = np.isfinite(x) & (x > 0)
-        px = np.array([sx(v) if ok else math.nan for v, ok in zip(x, keep)])
-        py = np.array([sy(v) if math.isfinite(v) else math.nan for v in y])
-        d = _path_d(px, py)
-        out.append(f'<path class="series" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5" d="{d}"/>')
+        # a non-positive frequency has no place on the log axis
+        out.append(_series_path(color, np.where(x > 0, x, np.nan), y, sx, sy))
         ly = _MT + 16 + 14 * k
-        out.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" x2="{_W - _MR - 130}" '
-                   f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_W - _MR - 124}" y="{ly}" font-family="sans-serif" '
-                   f'font-size="11" fill="#333">{_esc(label)}</text>')
+        out.append(_line(_W - _MR - 150, ly - 4, _W - _MR - 130, ly - 4, color, 2))
+        out.append(_text(_W - _MR - 124, ly, label, 11))
 
-    out.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 14}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="12" fill="#111">{_esc(spec.x_label)}</text>')
+    out.append(_text((_ML + _W - _MR) // 2, _H - 14, spec.x_label, 12, "#111", "middle"))
     if spec.y_label:
-        out.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12" fill="#111" '
-                   f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.0f})">{_esc(spec.y_label)}</text>')
-    out.append("</svg>")
-    return "\n".join(out)
+        yc = (_MT + _H - _MB) // 2
+        out.append(_text(16, yc, spec.y_label, 12, "#111", "middle",
+                         f' transform="rotate(-90 16 {yc})"'))
+    return out
 
 
-def _svg_nyquist_plot(tables: list[ResultTable], spec: PlotSpec) -> str:
-    series = []  # (label, complex samples)
-    for table in tables:
-        cols = list(table.columns)
-        for c in range(len(cols) - 1):
-            if cols[c].startswith("re_") and cols[c + 1] == "im_" + cols[c][3:]:
-                label = cols[c][3:]
-                if len(tables) > 1:
-                    label = f"{table.name}:{label}"
-                series.append((label, table.rows[:, c] + 1j * table.rows[:, c + 1]))
-    if not series:
-        raise ValueError("nyquist plot needs re_*/im_* column pairs")
+def _nyquist_pairs(t: ResultTable):
+    cols = t.columns
+    for c in range(len(cols) - 1):
+        if cols[c].startswith("re_") and cols[c + 1] == "im_" + cols[c][3:]:
+            yield cols[c][3:], t.rows[:, c], t.rows[:, c + 1]
 
-    pts = np.concatenate([z for _, z in series])
-    pts = pts[np.isfinite(pts.real) & np.isfinite(pts.imag)]
-    re = np.concatenate([pts.real, [-1.0, 1.0]])
-    im = np.concatenate([pts.imag, [-1.0, 1.0]])
+
+def _nyquist_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
+    series = _collect(tables, _nyquist_pairs, "nyquist plot needs re_*/im_* column pairs")
+
+    xs = np.concatenate([x for _, x, _ in series])
+    ys = np.concatenate([y for _, _, y in series])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    re = np.concatenate([xs[finite], [-1.0, 1.0]])
+    im = np.concatenate([ys[finite], [-1.0, 1.0]])
     cx, cy = (re.min() + re.max()) / 2.0, (im.min() + im.max()) / 2.0
     span = max(re.max() - re.min(), im.max() - im.min()) * 1.1 or 2.0
 
-    side = min(_W - _ML - _MR, _H - _MT - _MB)
+    side = float(min(_W - _ML - _MR, _H - _MT - _MB))
     ox = _ML + ((_W - _ML - _MR) - side) / 2.0
     oy = _MT + ((_H - _MT - _MB) - side) / 2.0
 
@@ -802,58 +807,39 @@ def _svg_nyquist_plot(tables: list[ResultTable], spec: PlotSpec) -> str:
     def sy(y):
         return oy + side - (y - (cy - span / 2.0)) / span * side
 
-    out = _svg_header(spec.title)
-    out.append(f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{side:.2f}" height="{side:.2f}" '
-               f'fill="none" stroke="#444" stroke-width="1"/>')
+    out = [_rect(ox, oy, side, side)]
     for t in np.linspace(cx - span / 2.0, cx + span / 2.0, 6):
-        gx = sx(t)
-        out.append(f'<text x="{gx:.2f}" y="{oy + side + 16:.2f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="10" fill="#333">{_fmt(t)}</text>')
+        out.append(_text(sx(t), oy + side + 16, _fmt(t), 10, anchor="middle"))
     for t in np.linspace(cy - span / 2.0, cy + span / 2.0, 6):
-        gy = sy(t)
-        out.append(f'<text x="{ox - 6:.2f}" y="{gy + 3:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="10" fill="#333">{_fmt(t)}</text>')
+        out.append(_text(ox - 6, sy(t) + 3, _fmt(t), 10, anchor="end"))
     # real/imaginary axes through zero when visible
     if cx - span / 2.0 < 0 < cx + span / 2.0:
-        out.append(f'<line x1="{sx(0):.2f}" y1="{oy:.2f}" x2="{sx(0):.2f}" '
-                   f'y2="{oy + side:.2f}" stroke="#bbb" stroke-width="1"/>')
+        out.append(_line(sx(0), oy, sx(0), oy + side, "#bbb", 1))
     if cy - span / 2.0 < 0 < cy + span / 2.0:
-        out.append(f'<line x1="{ox:.2f}" y1="{sy(0):.2f}" x2="{ox + side:.2f}" '
-                   f'y2="{sy(0):.2f}" stroke="#bbb" stroke-width="1"/>')
+        out.append(_line(ox, sy(0), ox + side, sy(0), "#bbb", 1))
 
-    for k, (label, z) in enumerate(series):
+    for k, (label, x, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        px = np.array([sx(v.real) if math.isfinite(v.real) else math.nan for v in z])
-        py = np.array([sy(v.imag) if math.isfinite(v.imag) else math.nan for v in z])
-        out.append(f'<path class="series" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5" d="{_path_d(px, py)}"/>')
-        ly = oy + 16 + 14 * k
-        out.append(f'<text x="{ox + side - 8:.2f}" y="{ly:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11" fill="{color}">{_esc(label)}</text>')
+        out.append(_series_path(color, x, y, sx, sy))
+        out.append(_text(ox + side - 8, oy + 16 + 14 * k, label, 11, color, "end"))
 
     # the critical point (-1, 0)
     mx, my = sx(-1.0), sy(0.0)
-    out.append(f'<line x1="{mx - 6:.2f}" y1="{my:.2f}" x2="{mx + 6:.2f}" y2="{my:.2f}" '
-               f'stroke="#c00" stroke-width="1.6"/>')
-    out.append(f'<line x1="{mx:.2f}" y1="{my - 6:.2f}" x2="{mx:.2f}" y2="{my + 6:.2f}" '
-               f'stroke="#c00" stroke-width="1.6"/>')
+    out.append(_line(mx - 6, my, mx + 6, my, "#c00", 1.6))
+    out.append(_line(mx, my - 6, mx, my + 6, "#c00", 1.6))
     out.append(f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="4" fill="none" '
                f'stroke="#c00" stroke-width="1.2"/>')
-    out.append(f'<text x="{mx + 8:.2f}" y="{my - 8:.2f}" font-family="sans-serif" '
-               f'font-size="11" fill="#c00">(-1, 0)</text>')
-    out.append("</svg>")
-    return "\n".join(out)
+    out.append(_text(mx + 8, my - 8, "(-1, 0)", 11, "#c00"))
+    return out
 
 
 def emit_svg_plot(tables, spec: PlotSpec, path) -> None:
     """Render one or more tables to a standalone SVG 1.1 file."""
     if isinstance(tables, ResultTable):
         tables = [tables]
-    if spec.kind == "nyquist":
-        text = _svg_nyquist_plot(list(tables), spec)
-    else:
-        text = _svg_line_plot(list(tables), spec)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    plot = _nyquist_plot if spec.kind == "nyquist" else _line_plot
+    out = _svg_header(spec.title) + plot(list(tables), spec) + ["</svg>"]
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 # --- fixtures and CLI -------------------------------------------------------
@@ -891,6 +877,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # bench/tracing.py wraps load_scenario, run, emit_csv and emit_svg_plot
+        # on this module, so they are called through its globals
         scenario = load_scenario(args.scenario)
         tables = run(scenario, args.command)
         out_dir = Path(args.out)
@@ -905,7 +893,9 @@ def main(argv=None) -> int:
                     svg_path = out_dir / f"{_safe_name(table.name)}.svg"
                     emit_svg_plot(table, spec, svg_path)
                     print(f"wrote {svg_path}")
-        _print_summary(args.command, tables)
+        summary = _ANALYSIS_TABLE[args.command].summary
+        if summary is not None:
+            print(summary(tables))
     except ScenarioValidationError as exc:
         print("scenario validation failed:", file=sys.stderr)
         for v in exc.violations:
@@ -921,19 +911,6 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _print_summary(command: str, tables: list[ResultTable]) -> None:
-    by_name = {t.name: t for t in tables}
-    if command == "gnc" and "gnc_verdict" in by_name:
-        row = by_name["gnc_verdict"].rows[0]
-        verdict = "stable" if row[1] else "unstable"
-        print(f"gnc verdict: {verdict} (encirclements={int(row[0])}, "
-              f"min distance to critical point={row[3]:.4g})")
-    elif command == "modes" and "modes_verdict" in by_name:
-        row = by_name["modes_verdict"].rows[0]
-        verdict = "unstable" if row[0] else "stable"
-        print(f"mode scan: {verdict} ({int(row[1])} distinct modes found)")
 
 
 if __name__ == "__main__":

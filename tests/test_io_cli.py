@@ -1,12 +1,18 @@
 """Scenario loading, analysis dispatch, CSV/SVG emission, CLI exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdpassivity
 from fdpassivity.devices import blackbox_model, write_blackbox_table
 from fdpassivity.errors import ScenarioParseError, ScenarioValidationError
 from fdpassivity.io_cli import (
@@ -294,7 +300,7 @@ def test_csv_roundtrip_exact(tmp_path, single_gfl_scenario):
 
 
 def test_csv_roundtrip_empty_table(tmp_path):
-    empty = ResultTable("modes", ("freq_hz", "re_lambda"), np.empty((0, 2)), {})
+    empty = ResultTable("modes", ("freq_hz", "re_lambda"), np.empty((0, 2)))
     path = tmp_path / "empty.csv"
     emit_csv(empty, path)
     back = read_result_csv(path)
@@ -308,7 +314,7 @@ def test_svg_line_plot_structure(tmp_path):
         np.array([0.5, -0.2, np.nan, 0.3]),
         np.array([1.0, 2.0, 3.0, 4.0]),
     ])
-    table = ResultTable("demo", ("freq_hz", "a", "b"), rows, {})
+    table = ResultTable("demo", ("freq_hz", "a", "b"), rows)
     path = tmp_path / "demo.svg"
     emit_svg_plot(table, PlotSpec(kind="line", title="demo & more"), path)
     root = ET.fromstring(path.read_text(encoding="utf-8"))
@@ -396,3 +402,216 @@ def test_run_is_deterministic_in_process(single_gfl_scenario, tmp_path):
         emit_csv(table, p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --- exact violation texts and SVG bytes -------------------------------------
+
+GFL_OP = {"p": 0.7, "q": 0.2, "v": 1.0}
+
+
+def _malformed(part):
+    """One document per kind of defect; the exact violations are pinned below."""
+    doc = minimal_doc()
+    if part == "base":
+        doc["base"] = {"s_va": 0, "v_v": "600"}
+    elif part == "grid":
+        doc["grid"] = {"f_min_hz": -1.0, "f_max_hz": "2000"}
+    elif part == "params":
+        doc["buses"] = ["b1", "b2"]
+        doc["branches"] = [{"from": "b1", "to": "b2", "kind": "rl", "params": {"r": "a"}}]
+        doc["shunts"] = [{"bus": "b1", "kind": "shunt_c", "params": {"b": -0.2}},
+                         {"bus": "b2", "kind": "thevenin", "params": {"scr": 0, "xr_ratio": 6.0}}]
+        doc["devices"] = [{"bus": "b1", "name": "gfl", "kind": "gfl_l1",
+                           "params": {"k_pll": 0.4}, "op": GFL_OP},
+                          {"bus": "b2", "name": "x", "kind": "svc"}]
+    elif part == "op":
+        doc["devices"] = [{"bus": "b1", "name": "gfl", "kind": "gfl_l1"},
+                          {"bus": "b1", "name": "gfm", "kind": "gfm_l1",
+                           "op": {"p": -0.3, "q": "x", "v": 0.0}}]
+        doc["analyses"] = {}
+    elif part == "topology":
+        doc["buses"] = ["b1", "b2", "b1"]
+        doc["branches"] = [{"from": "b1", "to": "b1", "kind": "rl", "params": {"r": 0.1, "x": 0.5}},
+                           {"from": "b1", "to": "zz", "kind": "rl", "params": {"r": 0.1, "x": 0.5}},
+                           7]
+        doc["shunts"].append({"bus": "b1", "kind": "shunt_c", "params": {"b": 0.1}})
+        doc["devices"].append({"bus": "b1", "name": "load", "kind": "rl",
+                               "params": {"r": 0.2, "x": 0.4}})
+        doc["standalone_stable"] = "yes"
+    else:
+        doc["analyses"] = {"device-passivity": {"device": "ghost"},
+                           "device-sens": {"device": "load", "param": "q", "delta_pct": 0},
+                           "nodal-sens": {"component": "sh@b1", "param": "r"},
+                           "fdpf": {"f_hz": -40.0}, "modes": [], "spectrum": {}}
+    return doc
+
+
+EXPECTED_VIOLATIONS = {
+    "base": [
+        "base.s_va: must be positive, got 0.0",
+        "base.v_v: expected a number, got str",
+        "base: missing required field 'f_hz'",
+    ],
+    "grid": [
+        "grid.f_min_hz: must be positive, got -1.0",
+        "grid.f_max_hz: expected a number, got str",
+    ],
+    "params": [
+        "branches[0].params.r: expected a number, got str",
+        "branches[0].params: missing required field 'x'",
+        "shunts[0].params.b: must be positive, got -0.2",
+        "shunts[1].params.scr: must be positive, got 0.0",
+        "devices[0].params.k_pll: unknown parameter (known: k_i_i, k_i_pll, k_i_pq, "
+        "k_p_i, k_p_pll, k_p_pq, l_c, r_c, t_i, t_v)",
+        "devices[1].kind: unknown model kind 'svc' (known: rl, shunt_c, thevenin, "
+        "gfl_l1, gfm_l1, blackbox)",
+    ],
+    "op": [
+        'devices[0]: converter models need an "op" object with p, q, v',
+        "devices[1].op.q: expected a number, got str",
+        "devices[1].op.v: must be positive, got 0.0",
+    ],
+    "topology": [
+        "buses: names must be unique",
+        "branches[0]: endpoints must differ",
+        "branches[1]: unknown bus 'zz'",
+        "branches[2]: expected an object",
+        "shunts[1]: more than one shunt at bus 'b1'; merge them",
+        "devices[1]: duplicate device name 'load'",
+        "standalone_stable: expected true or false",
+    ],
+    "options": [
+        "analyses.device-passivity.device: expected one of ['load'], got 'ghost'",
+        "analyses.device-sens.param: expected one of ['r', 'x'], got 'q'",
+        "analyses.device-sens.delta_pct: expected a nonzero number",
+        "analyses.nodal-sens.param: expected one of ['b'], got 'r'",
+        "analyses.fdpf.f_hz: expected a positive number",
+        "analyses.modes: expected an options object",
+        "analyses.spectrum: unknown analysis (known: device-passivity, device-sens, "
+        "nodal-passivity, nodal-sens, participation, gnc, fdpf, modes)",
+    ],
+}
+
+
+@pytest.mark.parametrize("part", sorted(EXPECTED_VIOLATIONS))
+def test_violation_messages_are_exact(tmp_path, part):
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(write_scenario(tmp_path, _malformed(part)))
+    assert info.value.violations == EXPECTED_VIOLATIONS[part]
+
+
+def _svg_table(name, columns, *series):
+    return ResultTable(name, columns, np.column_stack(series))
+
+
+def _svg_cases():
+    f = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0])
+    nan = math.nan
+    gap = _svg_table("gap", ("freq_hz", "index", "gain"), f,
+                     [0.8, 0.1, -0.3, nan, -0.05, 0.2, 0.6], np.log10(f))
+    flat = _svg_table("flat", ("freq_hz", "level"), f, np.full(f.size, 2.5))
+    shifted = _svg_table("shifted", ("freq_hz", "index"), f * 2.0, np.linspace(-1.0, 3.0, f.size))
+    theta = np.linspace(0.0, 3.0, f.size)
+    locus = _svg_table("loci", ("freq_hz", "re_locus_1", "im_locus_1", "re_locus_2", "im_locus_2"),
+                       f, 0.5 * np.cos(theta), [0.2, -0.4, nan, 0.1, 0.3, -0.2, 0.0],
+                       -2.0 + np.sin(theta), 0.3 * theta)
+    far = _svg_table("far", ("freq_hz", "re_l", "im_l"), f, 4.0 + theta, 1.0 + theta)
+    return {
+        "line_gap": ([gap], PlotSpec(kind="line", title="gap & zero <line>", y_label="index")),
+        "line_two": ([flat, shifted], PlotSpec(kind="line", title="two tables")),
+        "line_flat": ([flat], PlotSpec(kind="line")),
+        "nyquist_gap": ([locus], PlotSpec(kind="nyquist", title="loci")),
+        "nyquist_two": ([locus, far], PlotSpec(kind="nyquist")),
+    }
+
+
+SVG_SHA256 = {
+    "line_flat": "55d8d87ccef515b8d8606741748bfb03b8859c878e2aeba3414f4cb07fce0477",
+    "line_gap": "c761f8762edd17122bde1edf045b482cffe21ccb8f1d4e76b5b3953ea16ff550",
+    "line_two": "239f54612febd232f6de168ff18c5df635e8d9d5a62a62272e5173ce30972b6e",
+    "nyquist_gap": "41c964de2e52854d3810acb5846698bd48cc0d9ec80ad5510c22cd62e46ab06b",
+    "nyquist_two": "d255ddd7c503a65c3f41c95468fd4c0b8f3bea8e4900075f45cdcf5bfc9392b3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_svg_cases()))
+def test_svg_bytes_are_pinned(tmp_path, case):
+    tables, spec = _svg_cases()[case]
+    path = tmp_path / f"{case}.svg"
+    emit_svg_plot(tables, spec, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SVG_SHA256[case]
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    src = Path(fdpassivity.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdpassivity.io_cli", "device-passivity",
+         "--scenario", str(fixture_path("single_gfl.json")), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "device_passivity_GFL-1.csv").exists()
+
+
+def _single_gfl_doc():
+    return json.loads(fixture_path("single_gfl.json").read_text(encoding="utf-8"))
+
+
+def _set_option(analysis, key, value):
+    def edit(doc):
+        doc["analyses"][analysis][key] = value
+    return edit
+
+
+def _set_thevenin_param(doc):
+    doc["shunts"][0]["params"]["zz"] = 1
+
+
+BAD_VALUES = {
+    "modes_re_min_text": (_set_option("modes", "re_min", "abc"),
+                          "analyses.modes.re_min: expected a number"),
+    "modes_re_range_inverted": (
+        lambda doc: doc["analyses"]["modes"].update(re_min=100, re_max=-100),
+        "analyses.modes.re_max: expected a number above re_min"),
+    "modes_re_max_infinite": (_set_option("modes", "re_max", math.inf),
+                              "analyses.modes.re_max: expected a number above re_min"),
+    "modes_f_max_nan": (_set_option("modes", "f_max_hz", math.nan),
+                        "analyses.modes.f_max_hz: expected a positive number"),
+    "modes_f_max_zero": (_set_option("modes", "f_max_hz", 0),
+                         "analyses.modes.f_max_hz: expected a positive number"),
+    "fdpf_f_infinite": (_set_option("fdpf", "f_hz", math.inf),
+                        "analyses.fdpf.f_hz: expected a positive number"),
+    "device_sens_delta_infinite": (_set_option("device-sens", "delta_pct", -math.inf),
+                                   "analyses.device-sens.delta_pct: expected a nonzero number"),
+    "unknown_option": (_set_option("device-sens", "delta_pc", 1.0),
+                       "analyses.device-sens.delta_pc: unknown option "
+                       "(known: delta_pct, device, param)"),
+    "unknown_option_none_declared": (_set_option("gnc", "points", 800),
+                                     "analyses.gnc.points: unknown option (known: none)"),
+    "unknown_thevenin_param": (_set_thevenin_param,
+                               "shunts[0].params.zz: unknown parameter (known: scr, xr_ratio)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_or_unknown_keys_exit_2_with_named_violation(tmp_path, capsys, case):
+    edit, violation = BAD_VALUES[case]
+    doc = _single_gfl_doc()
+    edit(doc)
+    p = write_scenario(tmp_path, doc)
+    code = main(["modes", "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario validation failed:")
+    assert f"  - {violation}\n" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_declared_options_take_defaults(single_gfl_scenario):
+    assert single_gfl_scenario.analyses["modes"] == {
+        "re_min": -500.0, "re_max": 200.0, "f_max_hz": 500.0}
+    assert single_gfl_scenario.analyses["device-sens"] == {
+        "device": "GFL-1", "param": "k_p_pll", "delta_pct": 5.0}
+    assert single_gfl_scenario.analyses["gnc"] == {}
