@@ -1,9 +1,10 @@
 """Ordered, optionally threaded map for frequency sweeps.
 
-Worker count comes from the PASSIVITY_THREADS environment variable
-(default: available cores).  Results always come back in input order and
-each element is computed independently by a pure function, so output is
-bit-identical regardless of the worker count.
+The sweeps map it over fixed-size blocks of their frequency grid.  Worker
+count comes from the PASSIVITY_THREADS environment variable (default:
+available cores).  Results always come back in input order and each block
+is computed independently by a pure function, so output is bit-identical
+regardless of the worker count.
 """
 
 from __future__ import annotations

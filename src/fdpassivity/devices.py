@@ -17,6 +17,12 @@ coupling and the voltage feedforward (outer PQ loop frozen); GFM keeps the
 swing emulation behind a virtual impedance (reactive/voltage loops
 frozen).  Parameters owned by the frozen outer loops are carried but
 inert, which keeps them visible to sensitivity studies (zero derivative).
+
+admittance(s) takes a scalar s or a 1-D array of M values and returns a
+(2, 2) matrix or an (M, 2, 2) stack.  Element k of a stack has the same
+bits as evaluating s[k] alone in Python's complex arithmetic, the way
+every published result was computed: complex products and quotients of
+arrays go through _cmul and _div, which round as that arithmetic rounds.
 """
 
 from __future__ import annotations
@@ -52,43 +58,111 @@ BLACKBOX_HEADER = (
 )
 
 
+def _mat2(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]]: (2, 2) for scalar entries, (M, 2, 2) when a is an
+    (M,) array (a depends on s wherever this is called)."""
+    if not isinstance(a, np.ndarray) or not a.shape:
+        return np.array([[a, b], [c, d]], dtype=complex)
+    y = np.empty(a.shape + (2, 2), dtype=complex)
+    y[..., 0, 0] = a
+    y[..., 0, 1] = b
+    y[..., 1, 0] = c
+    y[..., 1, 1] = d
+    return y
+
+
+def _any(mask) -> bool:
+    """np.any, minus its cost on the single bool that a scalar s gives."""
+    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.any())
+
+
+def _col(x, ndim: int = 2):
+    """A scalar as it is; an (M,) array with ndim trailing axes, so it scales
+    stacked vectors (ndim 1) or matrices (ndim 2) row by row."""
+    return x[(...,) + (None,) * ndim] if isinstance(x, np.ndarray) else x
+
+
+# Python's own numbers: their arithmetic is the reference _div reproduces.
+_PLAIN = (complex, float, int)
+
+
+def _cmul(a, b):
+    """a * b, rounded as scalar complex arithmetic (Python's or numpy's)
+    rounds it: each real product on its own.  numpy's array loop may fuse
+    a multiply-add and move the last bit."""
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return a * b
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
+
+
+def _div(a, b):
+    """a / b, rounded as Python's complex division rounds it (Smith's
+    method, dividing by the larger part of b); numpy instead multiplies
+    by a reciprocal and moves the last bit."""
+    if type(a) in _PLAIN and type(b) in _PLAIN:
+        return a / b
+    a = np.asarray(a, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    ar, ai = a.real, a.imag
+    if type(b) is float:  # the first branch below with bi = 0, denom = b
+        if b == 0:
+            raise ZeroDivisionError("complex division by zero")
+        ratio = 0.0 / b
+        out.real = (ar + ai * ratio) / b
+        out.imag = (ai - ar * ratio) / b
+        return out[()]
+    b = np.asarray(b, dtype=complex)
+    br, bi = b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    big = np.where(by_real, br, bi)
+    if _any(big == 0):
+        raise ZeroDivisionError("complex division by zero")
+    small = np.where(by_real, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    t_r, t_i = ar * ratio, ai * ratio
+    out.real = np.where(by_real, ar + t_i, t_r + ai) / denom
+    out.imag = np.where(by_real, ai - t_r, t_i - ar) / denom
+    return out[()]
+
+
 def _inv2(m: np.ndarray, what: str) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det == 0:
+    """Closed-form inverse of a 2x2 matrix or of each of a stack."""
+    if m.ndim == 2:  # one matrix, in scalar arithmetic: the per-point hot path
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if det == 0:
+            raise SingularMatrixError(f"{what} is singular at the requested frequency")
+        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = _cmul(m00, m11) - _cmul(m01, m10)
+    if _any(det == 0):
         raise SingularMatrixError(f"{what} is singular at the requested frequency")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+    return _mat2(m11, -m01, -m10, m00) / det[..., None, None]
 
 
-def rl_impedance(r: float, x: float, s: complex, omega_b: float) -> np.ndarray:
+def rl_impedance(r: float, x: float, s, omega_b: float) -> np.ndarray:
     """Series RL impedance in the dq frame: (r + s*x/omega_b)*I + x*J."""
-    a = r + (s / omega_b) * x
-    return np.array([[a, -x], [x, a]], dtype=complex)
+    a = r + _div(s, omega_b) * x
+    return _mat2(a, -x, x, a)
 
 
-def rl_branch_admittance(r: float, x: float, s: complex, omega_b: float) -> np.ndarray:
+def rl_branch_admittance(r: float, x: float, s, omega_b: float) -> np.ndarray:
     """Admittance of a series RL element; inverse of rl_impedance."""
-    if r < 0 or x < 0 or (r == 0 and x == 0):
-        raise ValueError("RL element needs r >= 0, x >= 0 and not both zero")
-    return _inv2(rl_impedance(r, x, s, omega_b), "RL impedance")
+    return RlBranch(r, x, omega_b).admittance(s)
 
 
-def shunt_c_admittance(b: float, s: complex, omega_b: float) -> np.ndarray:
+def shunt_c_admittance(b: float, s, omega_b: float) -> np.ndarray:
     """Admittance of a shunt capacitor with susceptance b (pu)."""
-    if b <= 0:
-        raise ValueError("shunt capacitor needs b > 0")
-    return np.array(
-        [[(s / omega_b) * b, -b], [b, (s / omega_b) * b]], dtype=complex
-    )
+    return ShuntCapacitor(b, omega_b).admittance(s)
 
 
-def thevenin_grid(scr: float, xr_ratio: float, s: complex, omega_b: float) -> np.ndarray:
+def thevenin_grid(scr: float, xr_ratio: float, s, omega_b: float) -> np.ndarray:
     """Thevenin grid admittance from short-circuit ratio and X/R ratio."""
-    if scr <= 0 or xr_ratio <= 0:
-        raise ValueError("thevenin grid needs scr > 0 and xr_ratio > 0")
-    if scr > SCR_VALIDITY_LIMIT:
-        raise ValueError(f"scr > {SCR_VALIDITY_LIMIT:.0e} rejected (stiff-source limit)")
-    x = 1.0 / scr
-    return rl_branch_admittance(x / xr_ratio, x, s, omega_b)
+    return TheveninGrid(scr, xr_ratio, omega_b).admittance(s)
 
 
 @dataclass(frozen=True)
@@ -168,80 +242,6 @@ class GfmParams:
     k_vsm: float = 10.0   # reactive/voltage loop gain, inert at this level
 
 
-def gfl_admittance_l1(params: GflParams, op: OperatingPoint, s: complex) -> np.ndarray:
-    """GFL converter dq admittance: inner current loop + PLL frame coupling.
-
-    Blocks: current PI G_ci, cross-coupling decoupling D_dec, voltage
-    feedforward low-pass F_v, PLL closed loop T_pll (angle per grid-frame
-    q-voltage), converter RL filter Z_f.  Eliminating the modulated
-    voltage and the PLL angle gives the delivered-current response
-
-        di = [Z_f + G_ci - D_dec]^-1 ([F_v - 1] I + K_theta T_pll e_q^T) dv
-
-    with K_theta collecting the operating-point terms rotated by the PLL
-    angle; the admittance returned is its negative, so current counts
-    into the device like any shunt.  The current reference is frozen
-    (outer loop inert).
-    """
-    if s == 0:
-        raise ValueError("GFL admittance is not evaluable at s = 0 (pure integrators)")
-    wb = op.omega_b
-    x_c, r_c = params.l_c, params.r_c
-
-    h_pll = params.k_p_pll + params.k_i_pll / s
-    t_pll = wb * h_pll / (s + op.v_d0 * wb * h_pll)
-    g_ci = params.k_p_i + params.k_i_i / s
-    f_v = 1.0 / (1.0 + s * params.t_v)
-
-    z_f = rl_impedance(r_c, x_c, s, wb)
-    d_dec = x_c * J
-    v0, i0 = op.v0, op.i0
-    v_m0 = v0 + (r_c * I2 + x_c * J) @ i0
-
-    k_theta = (g_ci * I2 - d_dec) @ (J @ i0) - f_v * (J @ v0) + J @ v_m0
-    bracket = z_f + g_ci * I2 - d_dec
-    rhs = (f_v - 1.0) * I2 + t_pll * np.outer(k_theta, _E_Q)
-    return -(_inv2(bracket, "GFL closed-loop matrix") @ rhs)
-
-
-def gfm_admittance_l1(params: GfmParams, op: OperatingPoint, s: complex) -> np.ndarray:
-    """GFM converter dq admittance: swing emulation behind a virtual impedance.
-
-    The internal voltage is fixed in the swing frame, so a swing-angle
-    perturbation rotates it in the grid frame; the delivered-power
-    linearization closes the loop:
-
-        delta_theta = (omega_b / s) * (-delta_P) / (2 H s + D)
-        delta_i     = Z_v^-1 (J e0 delta_theta - delta_v)
-        delta_P     = i0^T delta_v + v0^T delta_i
-
-    with e0 = v0 + (R_v I + X_v J) i0 the internal voltage behind the
-    virtual impedance and i0 the delivered current.  Eliminating the
-    angle and negating (current into the device) gives
-
-        Y = Z_v^-1 + (a / (1 + a v0^T u)) u (i0 - Z_v^-T v0)^T,
-        u = Z_v^-1 J e0,  a = omega_b / (s (2 H s + D)).
-    """
-    if s == 0:
-        raise ValueError("GFM admittance is not evaluable at s = 0 (angle integrator)")
-    wb = op.omega_b
-    swing = s * (2.0 * params.h_vsm * s + params.d_vsm)
-    if swing == 0:
-        raise SingularMatrixError("GFM swing dynamics singular at the requested frequency")
-    a = wb / swing
-
-    y_v = _inv2(rl_impedance(params.r_v, params.l_v, s, wb), "virtual impedance")
-    v0, i0 = op.v0, op.i0
-    e0 = v0 + (params.r_v * I2 + params.l_v * J) @ i0
-
-    u = y_v @ (J @ e0)        # current response to an angle swing
-    row = i0 - v0 @ y_v       # delivered-power sensitivity to the terminal voltage
-    denom = 1.0 + a * (v0 @ u)
-    if denom == 0:
-        raise SingularMatrixError("GFM power loop singular at the requested frequency")
-    return y_v + (a / denom) * np.outer(u, row)
-
-
 class DeviceModel:
     """Evaluable, parameterized source of 2x2 dq admittance.
 
@@ -252,7 +252,8 @@ class DeviceModel:
 
     kind: ClassVar[str] = "device"
 
-    def admittance(self, s: complex) -> np.ndarray:
+    def admittance(self, s) -> np.ndarray:
+        """Y(s): (2, 2) for a scalar s, (M, 2, 2) for a 1-D array of M values."""
         raise NotImplementedError
 
     def param_names(self) -> tuple[str, ...]:
@@ -275,7 +276,13 @@ class DeviceModel:
 
 class ParametricModel(DeviceModel):
     """Dataclass model whose parameters are dataclass fields: those of its
-    ``params`` dataclass when it has one, else its own fields except omega_b."""
+    ``params`` dataclass when it has one, else its own fields except omega_b.
+
+    A model without a ``params`` dataclass (RL element, capacitor, Thevenin
+    grid) also takes 1-D arrays of equal length for its parameters and then
+    stands for that many elements: at s[..., None] it returns their
+    admittances stacked as (..., C, 2, 2).  See combine.
+    """
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self._param_source()) if f.name != "omega_b")
@@ -297,8 +304,12 @@ class RlBranch(ParametricModel):
 
     kind: ClassVar[str] = "rl"
 
-    def admittance(self, s: complex) -> np.ndarray:
-        return rl_branch_admittance(self.r, self.x, s, self.omega_b)
+    def __post_init__(self):
+        if _any(self.r < 0) or _any(self.x < 0) or _any((self.r == 0) & (self.x == 0)):
+            raise ValueError("RL element needs r >= 0, x >= 0 and not both zero")
+
+    def admittance(self, s) -> np.ndarray:
+        return _inv2(rl_impedance(self.r, self.x, s, self.omega_b), "RL impedance")
 
 
 @dataclass(frozen=True)
@@ -310,8 +321,13 @@ class ShuntCapacitor(ParametricModel):
 
     kind: ClassVar[str] = "c"
 
-    def admittance(self, s: complex) -> np.ndarray:
-        return shunt_c_admittance(self.b, s, self.omega_b)
+    def __post_init__(self):
+        if _any(self.b <= 0):
+            raise ValueError("shunt capacitor needs b > 0")
+
+    def admittance(self, s) -> np.ndarray:
+        sb = _div(s, self.omega_b) * self.b
+        return _mat2(sb, -self.b, self.b, sb)
 
 
 @dataclass(frozen=True)
@@ -324,34 +340,138 @@ class TheveninGrid(ParametricModel):
 
     kind: ClassVar[str] = "thevenin"
 
-    def admittance(self, s: complex) -> np.ndarray:
-        return thevenin_grid(self.scr, self.xr_ratio, s, self.omega_b)
+    def __post_init__(self):
+        if _any(self.scr <= 0) or _any(self.xr_ratio <= 0):
+            raise ValueError("thevenin grid needs scr > 0 and xr_ratio > 0")
+        if _any(self.scr > SCR_VALIDITY_LIMIT):
+            raise ValueError(f"scr > {SCR_VALIDITY_LIMIT:.0e} rejected (stiff-source limit)")
+
+    def admittance(self, s) -> np.ndarray:
+        x = 1.0 / self.scr
+        return _inv2(rl_impedance(x / self.xr_ratio, x, s, self.omega_b), "RL impedance")
 
 
 @dataclass(frozen=True)
 class GflConverterL1(ParametricModel):
-    """Grid-following converter, level-1 linearization."""
+    """Grid-following converter, level-1 linearization.
+
+    Blocks: current PI G_ci, cross-coupling decoupling D_dec, voltage
+    feedforward low-pass F_v, PLL closed loop T_pll (angle per grid-frame
+    q-voltage), converter RL filter Z_f.  Eliminating the modulated
+    voltage and the PLL angle gives the delivered-current response
+
+        di = [Z_f + G_ci - D_dec]^-1 ([F_v - 1] I + K_theta T_pll e_q^T) dv
+
+    with K_theta collecting the operating-point terms rotated by the PLL
+    angle; the admittance is its negative, so current counts into the
+    device like any shunt.  The current reference is frozen (outer loop
+    inert).
+    """
 
     params: GflParams
     op: OperatingPoint
 
     kind: ClassVar[str] = "gfl_l1"
 
-    def admittance(self, s: complex) -> np.ndarray:
-        return gfl_admittance_l1(self.params, self.op, s)
+    def __post_init__(self):
+        # the terms that do not depend on s: D_dec, J i0, J v0 and J v_m0
+        x_c, v0, i0 = self.params.l_c, self.op.v0, self.op.i0
+        v_m0 = v0 + (self.params.r_c * I2 + x_c * J) @ i0
+        object.__setattr__(self, "_frame", (x_c * J, J @ i0, J @ v0, J @ v_m0))
+
+    def admittance(self, s) -> np.ndarray:
+        if _any(s == 0):
+            raise ValueError("GFL admittance is not evaluable at s = 0 (pure integrators)")
+        params, op = self.params, self.op
+        wb = op.omega_b
+        d_dec, j_i0, j_v0, j_vm0 = self._frame
+
+        h_pll = params.k_p_pll + _div(params.k_i_pll, s)
+        t_pll = _div(wb * h_pll, s + op.v_d0 * wb * h_pll)
+        g_ci = params.k_p_i + _div(params.k_i_i, s)
+        f_v = _div(1.0, 1.0 + s * params.t_v)
+
+        z_f = rl_impedance(params.r_c, params.l_c, s, wb)
+        k_theta = (_col(g_ci) * I2 - d_dec) @ j_i0 - _col(f_v, 1) * j_v0 + j_vm0
+        bracket = z_f + _col(g_ci) * I2 - d_dec
+        rhs = _col(f_v - 1.0) * I2 + _col(t_pll) * (k_theta[..., :, None] * _E_Q)
+        return -(_inv2(bracket, "GFL closed-loop matrix") @ rhs)
 
 
 @dataclass(frozen=True)
 class GfmConverterL1(ParametricModel):
-    """Grid-forming converter, level-1 linearization."""
+    """Grid-forming converter, level-1 linearization.
+
+    Swing emulation behind a virtual impedance.  The internal voltage is
+    fixed in the swing frame, so a swing-angle perturbation rotates it in
+    the grid frame; the delivered-power linearization closes the loop:
+
+        delta_theta = (omega_b / s) * (-delta_P) / (2 H s + D)
+        delta_i     = Z_v^-1 (J e0 delta_theta - delta_v)
+        delta_P     = i0^T delta_v + v0^T delta_i
+
+    with e0 = v0 + (R_v I + X_v J) i0 the internal voltage behind the
+    virtual impedance and i0 the delivered current.  Eliminating the
+    angle and negating (current into the device) gives
+
+        Y = Z_v^-1 + (a / (1 + a v0^T u)) u (i0 - Z_v^-T v0)^T,
+        u = Z_v^-1 J e0,  a = omega_b / (s (2 H s + D)).
+    """
 
     params: GfmParams
     op: OperatingPoint
 
     kind: ClassVar[str] = "gfm_l1"
 
-    def admittance(self, s: complex) -> np.ndarray:
-        return gfm_admittance_l1(self.params, self.op, s)
+    def __post_init__(self):
+        # the terms that do not depend on s: v0, i0 and J e0
+        v0, i0 = self.op.v0, self.op.i0
+        e0 = v0 + (self.params.r_v * I2 + self.params.l_v * J) @ i0
+        object.__setattr__(self, "_frame", (v0, i0, J @ e0))
+
+    def admittance(self, s) -> np.ndarray:
+        if _any(s == 0):
+            raise ValueError("GFM admittance is not evaluable at s = 0 (angle integrator)")
+        params, wb = self.params, self.op.omega_b
+        v0, i0, j_e0 = self._frame
+        swing = _cmul(s, 2.0 * params.h_vsm * s + params.d_vsm)
+        if _any(swing == 0):
+            raise SingularMatrixError("GFM swing dynamics singular at the requested frequency")
+        a = _div(wb, swing)
+
+        y_v = _inv2(rl_impedance(params.r_v, params.l_v, s, wb), "virtual impedance")
+        u = y_v @ j_e0        # current response to an angle swing
+        row = i0 - v0 @ y_v   # delivered-power sensitivity to the terminal voltage
+        denom = 1.0 + _cmul(a, (v0 @ u[..., :, None])[..., 0][()])
+        if _any(denom == 0):
+            raise SingularMatrixError("GFM power loop singular at the requested frequency")
+        return y_v + _col(a / denom) * (u[..., :, None] * row[..., None, :])
+
+
+def combine(models) -> list[tuple[DeviceModel, tuple[int, ...], bool]]:
+    """Evaluators for a sequence of models: (model, positions, combined).
+
+    Two or more models whose parameters are their own fields are merged,
+    per class and omega_b, into one model with array parameters (combined
+    True); it evaluates all of them in one admittance call at s[..., None],
+    which costs about what one of them costs.  Any other model stands
+    alone at its one position (combined False) and is evaluated at s.
+    Every element is computed as its own model computes it, to the bit.
+    """
+    groups: dict = {}
+    for k, m in enumerate(models):
+        own = isinstance(m, ParametricModel) and m._param_source() is m
+        groups.setdefault((type(m), m.omega_b) if own else k, []).append(k)
+    out = []
+    for key, positions in groups.items():
+        first = models[positions[0]]
+        if len(positions) == 1:
+            out.append((first, tuple(positions), False))
+            continue
+        arrays = {f.name: np.array([getattr(models[k], f.name) for k in positions], dtype=float)
+                  for f in fields(first) if f.name != "omega_b"}
+        out.append((type(first)(**arrays, omega_b=first.omega_b), tuple(positions), True))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,30 +504,28 @@ class BlackBoxModel(DeviceModel):
         object.__setattr__(self, "ydata", y)
         object.__setattr__(self, "_logf", np.log10(f))
 
-    def admittance(self, s: complex) -> np.ndarray:
-        s = complex(s)
-        if abs(s.real) > 1e-12 * max(abs(s), 1.0):
+    def admittance(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=complex)
+        if np.any(np.abs(s.real) > 1e-12 * np.maximum(np.abs(s), 1.0)):
             raise OutOfRangeError("black-box model is only evaluable at s = j*omega")
-        omega = s.imag
-        f = abs(omega) / (2.0 * math.pi)
+        f = np.abs(s.imag) / (2.0 * math.pi)
         lo, hi = float(self.freqs_hz[0]), float(self.freqs_hz[-1])
         # Hz <-> rad/s round trips may overshoot the span edges by an ulp;
         # only genuinely out-of-band queries are errors
         slack = 1e-12 * hi
-        if f < lo - slack or f > hi + slack:
+        outside = np.ravel((f < lo - slack) | (f > hi + slack))
+        if np.any(outside):
             raise OutOfRangeError(
-                f"{f:.6g} Hz outside the tabulated span "
+                f"{np.ravel(f)[outside][0]:.6g} Hz outside the tabulated span "
                 f"[{lo:.6g}, {hi:.6g}] Hz"
             )
-        lf = math.log10(min(max(f, lo), hi))
-        re = np.empty((2, 2))
-        im = np.empty((2, 2))
+        lf = np.log10(np.clip(f, lo, hi))
+        y = np.empty(s.shape + (2, 2), dtype=complex)
         for p in range(2):
             for q in range(2):
-                re[p, q] = np.interp(lf, self._logf, self.ydata[:, p, q].real)
-                im[p, q] = np.interp(lf, self._logf, self.ydata[:, p, q].imag)
-        y = re + 1j * im
-        return y.conj() if omega < 0 else y
+                y.real[..., p, q] = np.interp(lf, self._logf, self.ydata[:, p, q].real)
+                y.imag[..., p, q] = np.interp(lf, self._logf, self.ydata[:, p, q].imag)
+        return np.where((s.imag < 0)[..., None, None], y.conj(), y)
 
 
 def blackbox_model(freqs_hz, ydata) -> BlackBoxModel:
@@ -419,10 +537,7 @@ def blackbox_model(freqs_hz, ydata) -> BlackBoxModel:
 def sample_model(model: DeviceModel, freqs_hz) -> BlackBoxModel:
     """Tabulate any model on a frequency grid as a black-box device."""
     freqs_hz = np.asarray(freqs_hz, dtype=float)
-    ydata = np.empty((freqs_hz.size, 2, 2), dtype=complex)
-    for k, f in enumerate(freqs_hz):
-        ydata[k] = model.admittance(1j * 2.0 * math.pi * f)
-    return blackbox_model(freqs_hz, ydata)
+    return blackbox_model(freqs_hz, model.admittance(1j * 2.0 * math.pi * freqs_hz))
 
 
 def read_blackbox_table(path) -> BlackBoxModel:
@@ -462,22 +577,23 @@ def read_blackbox_table(path) -> BlackBoxModel:
 def write_blackbox_table(path, model: DeviceModel, freqs_hz) -> None:
     """Tabulate a model to the CSV exchange format at 17 significant digits."""
     freqs_hz = np.asarray(freqs_hz, dtype=float)
+    ydata = model.admittance(1j * 2.0 * math.pi * freqs_hz)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(BLACKBOX_HEADER) + "\n")
-        for f in freqs_hz:
-            y = model.admittance(1j * 2.0 * math.pi * f)
+        for f, y in zip(freqs_hz, ydata):
             cells = [f"{f:.17g}"]
-            for p in range(2):
-                for q in range(2):
-                    cells.append(f"{y[p, q].real:.17g}")
-                    cells.append(f"{y[p, q].imag:.17g}")
+            for v in y.ravel():
+                cells.append(f"{v.real:.17g}")
+                cells.append(f"{v.imag:.17g}")
             fh.write(",".join(cells) + "\n")
 
 
-def param_derivative(model: DeviceModel, param_name: str, s: complex) -> np.ndarray:
+def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:
     """Entrywise dY/d(rho) by central differences with one Richardson level.
 
-    Step h = max(|rho|, 1) * 1e-6; the h and h/2 estimates combine as
+    s is a scalar or a 1-D array, as for admittance; the four perturbed
+    models are each evaluated once on all of it.  Step
+    h = max(|rho|, 1) * 1e-6; the h and h/2 estimates combine as
     (4 D(h/2) - D(h)) / 3, cancelling the leading truncation term.
     """
     if not model.param_names():
@@ -491,8 +607,10 @@ def param_derivative(model: DeviceModel, param_name: str, s: complex) -> np.ndar
         return (y_plus - y_minus) / (2.0 * step)
 
     d = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    if not np.all(np.isfinite(d.real)) or not np.all(np.isfinite(d.imag)):
+    bad = np.ravel(~(np.isfinite(d.real) & np.isfinite(d.imag)).all(axis=(-2, -1)))
+    if np.any(bad):
         raise NonFiniteError(
-            f"derivative of {model.kind} admittance w.r.t. {param_name!r} is not finite at s={s}"
+            f"derivative of {model.kind} admittance w.r.t. {param_name!r} is not finite "
+            f"at s={np.ravel(s)[bad][0]}"
         )
     return d

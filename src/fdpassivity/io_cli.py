@@ -65,6 +65,16 @@ _MODELS = {
 }
 _MODEL_KINDS = (*_MODELS, "blackbox")
 
+# The keys the loader reads; any other key is a violation.
+_TOP_KEYS = ("schema", "name", "base", "grid", "buses", "branches", "shunts", "devices",
+             "standalone_stable", "analyses")
+_BASE_KEYS = ("s_va", "v_v", "f_hz")
+_GRID_KEYS = ("f_min_hz", "f_max_hz", "points", "points_per_decade", "freqs_hz")
+_OP_KEYS = ("p", "q", "v")
+# the model keys of each kind, next to the keys of the section an entry is in
+_MODEL_KEYS = {"blackbox": ("kind", "path", "params"), "gfl_l1": ("kind", "params", "op"),
+               "gfm_l1": ("kind", "params", "op")}
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -131,8 +141,9 @@ def _str(doc, key, ctx, violations):
 def _reject_unknown(given, known, ctx, what, violations):
     for key in given:
         if key not in known:
+            name = f"{ctx}.{key}" if ctx else key
             violations.append(
-                f"{ctx}.{key}: unknown {what} (known: {', '.join(sorted(known)) or 'none'})")
+                f"{name}: unknown {what} (known: {', '.join(sorted(known)) or 'none'})")
 
 
 def _params_from(doc, cls, positive, ctx, violations) -> dict | None:
@@ -159,6 +170,7 @@ def _operating_point(doc, ctx, omega_b, violations):
     if not isinstance(op, dict):
         violations.append(f"{ctx}: converter models need an \"op\" object with p, q, v")
         return None
+    _reject_unknown(op, _OP_KEYS, f"{ctx}.op", "field", violations)
     p = _num(op, "p", f"{ctx}.op", violations)
     q = _num(op, "q", f"{ctx}.op", violations)
     v = _num(op, "v", f"{ctx}.op", violations, positive=True)
@@ -167,13 +179,15 @@ def _operating_point(doc, ctx, omega_b, violations):
     return OperatingPoint.from_terminal(p, q, v, omega_b)
 
 
-def _build_model(doc, ctx, omega_b, base_dir, violations) -> DeviceModel | None:
+def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceModel | None:
     kind = _str(doc, "kind", ctx, violations)
     if kind is None:
         return None
     if kind not in _MODEL_KINDS:
         violations.append(f"{ctx}.kind: unknown model kind {kind!r} (known: {', '.join(_MODEL_KINDS)})")
         return None
+    _reject_unknown(doc, (*entry_keys, *_MODEL_KEYS.get(kind, ("kind", "params"))), ctx,
+                    "field", violations)
     try:
         if kind == "blackbox":
             # the table is loaded now so later evaluation cannot hit I/O
@@ -199,6 +213,7 @@ def _build_grid(doc, violations) -> np.ndarray | None:
     if not isinstance(grid, dict):
         violations.append("grid: missing or not an object")
         return None
+    _reject_unknown(grid, _GRID_KEYS, "grid", "field", violations)
     keys = [k for k in ("freqs_hz", "points", "points_per_decade") if k in grid]
     if "freqs_hz" in grid:
         freqs = grid["freqs_hz"]
@@ -260,6 +275,7 @@ def load_scenario(path) -> Scenario:
     violations: list[str] = []
     if doc.get("schema") != 1:
         violations.append(f"schema: expected 1, got {doc.get('schema')!r}")
+    _reject_unknown(doc, _TOP_KEYS, "", "field", violations)
     name = doc.get("name") or p.stem
 
     base = doc.get("base")
@@ -268,6 +284,7 @@ def load_scenario(path) -> Scenario:
         violations.append("base: missing or not an object (need s_va, v_v, f_hz)")
     else:
         # every quantity is per unit, so s_va and v_v are checked but not used
+        _reject_unknown(base, _BASE_KEYS, "base", "field", violations)
         _num(base, "s_va", "base", violations, positive=True)
         _num(base, "v_v", "base", violations, positive=True)
         f_hz = _num(base, "f_hz", "base", violations, positive=True)
@@ -301,7 +318,7 @@ def load_scenario(path) -> Scenario:
         check_bus(ctx, to_bus)
         if from_bus is not None and from_bus == to_bus:
             violations.append(f"{ctx}: endpoints must differ")
-        model = _build_model(item, ctx, omega_b, p.parent, violations)
+        model = _build_model(item, ctx, ("from", "to"), omega_b, p.parent, violations)
         if None not in (from_bus, to_bus, model) and from_bus != to_bus:
             branches.append(net.Branch(from_bus=from_bus, to_bus=to_bus, model=model))
 
@@ -317,7 +334,7 @@ def load_scenario(path) -> Scenario:
         if bus in shunt_buses:
             violations.append(f"{ctx}: more than one shunt at bus {bus!r}; merge them")
         shunt_buses.add(bus)
-        model = _build_model(item, ctx, omega_b, p.parent, violations)
+        model = _build_model(item, ctx, ("bus",), omega_b, p.parent, violations)
         if bus is not None and model is not None and bus in bus_set:
             shunts.append(net.Shunt(bus=bus, model=model))
 
@@ -334,7 +351,7 @@ def load_scenario(path) -> Scenario:
         if dev_name in device_names:
             violations.append(f"{ctx}: duplicate device name {dev_name!r}")
         device_names.add(dev_name)
-        model = _build_model(item, ctx, omega_b, p.parent, violations)
+        model = _build_model(item, ctx, ("bus", "name"), omega_b, p.parent, violations)
         if None not in (bus, dev_name, model) and bus in bus_set:
             devices.append(net.Device(bus=bus, name=dev_name, model=model))
 

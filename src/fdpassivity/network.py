@@ -23,6 +23,11 @@ onto the only two bus blocks the branch touches.  Scaling every component
 admittance by a common factor scales Y_n by it, so the directional
 sensitivities along each component's own admittance (its participation)
 sum exactly to the index.
+
+Assembly takes a scalar s or a 1-D array of s; an array gives the stacked
+(M, 2N, 2N) matrices, built from one stacked admittance evaluation per
+component.  The sweeps run in fixed-size frequency blocks (see
+passivity.frequency_blocks).
 """
 
 from __future__ import annotations
@@ -33,10 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .devices import DeviceModel, param_derivative
+from .devices import DeviceModel, combine, param_derivative
 from .errors import UnknownBusError, UnknownComponentError
 from .numerics import hermitian_eigen, inverse
-from .passivity import IndexSweep, SensitivitySeries, hermitian_part, is_degenerate
+from .passivity import (
+    IndexSweep,
+    SensitivitySeries,
+    frequency_blocks,
+    hermitian_part,
+    is_degenerate,
+    join_blocks,
+    quadratic_form,
+)
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,54 @@ class ComponentRef:
 
 
 @dataclass(frozen=True)
+class _Part:
+    """Where one part of Y_n (branches, shunts or devices) goes, resolved once.
+
+    The part's models are evaluated through evaluators (devices.combine),
+    whose outputs, concatenated, stack one 2x2 admittance per slot.  Entry
+    k of the flattened 2N x 2N matrix at target[k] receives entry source[k]
+    of that stack flattened and, for series elements, followed by its
+    negative.  The entries run component by component, so each matrix
+    entry sums its contributions in component order.
+    """
+
+    evaluators: tuple
+    target: np.ndarray
+    source: np.ndarray | None  # None: the stack is already in target order
+    series: bool               # source reaches into the negatives
+    unique: bool               # no entry of the matrix receives two values
+
+    @classmethod
+    def of(cls, n_buses: int, placed) -> "_Part":
+        """placed: (model, bus i, bus j or None).  A shunt adds Y at block
+        (i, i); a series element adds Y at (i, i) and (j, j) and -Y at
+        (i, j) and (j, i)."""
+        evaluators = combine([m for m, _, _ in placed])
+        slot = {k: n for n, k in enumerate(k for _, ks, _ in evaluators for k in ks)}
+        n, negative = 2 * n_buses, 4 * len(placed)
+        target, source = [], []
+        for k, (_, i, j) in enumerate(placed):
+            blocks = [(i, i, 0)] if j is None else [(i, i, 0), (j, j, 0), (i, j, negative),
+                                                   (j, i, negative)]
+            for row, col, offset in blocks:
+                for p in range(2):
+                    for q in range(2):
+                        target.append((2 * row + p) * n + 2 * col + q)
+                        source.append(offset + 4 * slot[k] + 2 * p + q)
+        in_order = source == list(range(len(source)))
+        return cls(tuple((m, combined) for m, _, combined in evaluators),
+                   np.array(target, dtype=np.intp),
+                   None if in_order else np.array(source, dtype=np.intp),
+                   any(j is not None for _, _, j in placed), len(set(target)) == len(target))
+
+
+@dataclass(frozen=True)
 class Network:
-    """Immutable bus/branch/shunt/device description."""
+    """Immutable bus/branch/shunt/device description.
+
+    The bus index of every component is resolved once, here, for
+    assembly to read.
+    """
 
     buses: tuple[str, ...]
     branches: tuple[Branch, ...] = ()
@@ -114,6 +173,14 @@ class Network:
             if dev.name in names:
                 raise ValueError(f"duplicate device name {dev.name!r}")
             names.add(dev.name)
+        object.__setattr__(self, "_index", index)
+        n = len(self.buses)
+        object.__setattr__(self, "_branch_part", _Part.of(
+            n, [(br.model, index[br.from_bus], index[br.to_bus]) for br in self.branches]))
+        object.__setattr__(self, "_shunt_part", _Part.of(
+            n, [(sh.model, index[sh.bus], None) for sh in self.shunts]))
+        object.__setattr__(self, "_device_part", _Part.of(
+            n, [(dev.model, index[dev.bus], None) for dev in self.devices]))
 
     @property
     def n_buses(self) -> int:
@@ -121,8 +188,8 @@ class Network:
 
     def bus_index(self, name: str) -> int:
         try:
-            return self.buses.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise UnknownBusError(f"{name!r} is not a bus") from None
 
 
@@ -168,51 +235,52 @@ def incidence(network: Network) -> np.ndarray:
     return inc
 
 
-def _add_block(y: np.ndarray, i: int, j: int, block: np.ndarray) -> None:
-    y[2 * i:2 * i + 2, 2 * j:2 * j + 2] += block
+def _assemble(network: Network, s, part: _Part) -> np.ndarray:
+    """One part of Y_n at s: (2N, 2N), or (M, 2N, 2N) for M values of s."""
+    n = 2 * network.n_buses
+    shape = getattr(s, "shape", ())
+    y = np.zeros(shape + (n * n,), dtype=complex)
+    if part.evaluators:
+        flat = [(m.admittance(np.asarray(s)[..., None]) if combined else m.admittance(s))
+                .reshape(shape + (-1,)) for m, combined in part.evaluators]
+        yc = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
+        if part.source is not None:
+            if part.series:
+                yc = np.concatenate([yc, -yc], axis=-1)
+            yc = yc[..., part.source]
+        if part.unique:
+            y.T[part.target] += yc.T
+        else:
+            np.add.at(y.T, part.target, yc.T)
+    return y.reshape(shape + (n, n))
 
 
-def assemble_branches(network: Network, s: complex) -> np.ndarray:
+def assemble_branches(network: Network, s) -> np.ndarray:
     """Series-branch part Y_e = Inc^T diag(Y_branch) Inc, assembled blockwise."""
-    n = network.n_buses
-    y = np.zeros((2 * n, 2 * n), dtype=complex)
-    for br in network.branches:
-        yb = br.model.admittance(s)
-        i, j = network.bus_index(br.from_bus), network.bus_index(br.to_bus)
-        _add_block(y, i, i, yb)
-        _add_block(y, j, j, yb)
-        _add_block(y, i, j, -yb)
-        _add_block(y, j, i, -yb)
-    return y
+    return _assemble(network, s, network._branch_part)
 
 
-def assemble_shunts(network: Network, s: complex) -> np.ndarray:
-    n = network.n_buses
-    y = np.zeros((2 * n, 2 * n), dtype=complex)
-    for sh in network.shunts:
-        _add_block(y, network.bus_index(sh.bus), network.bus_index(sh.bus),
-                   sh.model.admittance(s))
-    return y
+def assemble_shunts(network: Network, s) -> np.ndarray:
+    return _assemble(network, s, network._shunt_part)
 
 
-def assemble_devices(network: Network, s: complex) -> np.ndarray:
+def assemble_devices(network: Network, s) -> np.ndarray:
     """Active-device part Y_a: block diagonal over the device buses."""
-    n = network.n_buses
-    y = np.zeros((2 * n, 2 * n), dtype=complex)
-    for dev in network.devices:
-        _add_block(y, network.bus_index(dev.bus), network.bus_index(dev.bus),
-                   dev.model.admittance(s))
+    return _assemble(network, s, network._device_part)
+
+
+def assemble_net(network: Network, s) -> np.ndarray:
+    """Passive network admittance Y_net = branches + shunts."""
+    y = assemble_branches(network, s)
+    y += assemble_shunts(network, s)
     return y
 
 
-def assemble_net(network: Network, s: complex) -> np.ndarray:
-    """Passive network admittance Y_net = branches + shunts."""
-    return assemble_branches(network, s) + assemble_shunts(network, s)
-
-
-def assemble_nodal(network: Network, s: complex) -> np.ndarray:
+def assemble_nodal(network: Network, s) -> np.ndarray:
     """Full nodal admittance Y_n = Y_net + Y_a."""
-    return assemble_net(network, s) + assemble_devices(network, s)
+    y = assemble_net(network, s)
+    y += assemble_devices(network, s)
+    return y
 
 
 def closed_loop_impedance(network: Network, s: complex) -> np.ndarray:
@@ -238,62 +306,63 @@ def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
     """Nodal passivity index and minimum eigenpair over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
 
-    def point(w: float):
-        h = hermitian_part(assemble_nodal(network, 1j * w))
+    def block(rows: slice):
+        h = hermitian_part(assemble_nodal(network, 1j * omegas[rows]))
         eig = hermitian_eigen(h)
-        # copy the one column so the full eigenvector matrix can be freed
-        return eig.values, eig.min_vector.copy(), is_degenerate(eig, np.linalg.norm(h))
+        # copy the one column so the full eigenvector matrices can be freed
+        return (eig.values, eig.min_vector.copy(),
+                is_degenerate(eig, np.linalg.norm(h, axis=(-2, -1))))
 
-    rows = parallel_map(point, omegas)
-    spectra = np.array([r[0] for r in rows])
+    blocks = frequency_blocks(omegas.size, 2 * network.n_buses)
+    spectra, min_vectors, degenerate = join_blocks(parallel_map(block, blocks))
     return NodalSpectrum(
         omegas=omegas,
         indices=spectra[:, 0],
         eigen_gaps=spectra[:, 1] - spectra[:, 0],
         spectra=spectra,
-        min_vectors=np.array([r[1] for r in rows]),
-        degenerate=np.array([r[2] for r in rows], dtype=bool),
+        min_vectors=min_vectors,
+        degenerate=degenerate,
     )
 
 
-def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.ndarray) -> float:
+def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.ndarray):
     """d index along a 2x2 perturbation dY of any component.
 
     phi_w^dagger (dY + dY^dagger) phi_w, with phi the unit minimum
     eigenvector of the nodal Hermitian part and phi_w the window the
     component sees: its bus sub-vector, or the difference of the two for a
-    branch.
+    branch.  phi (..., 2N) and dY (..., 2, 2) may be stacks over frequency.
     """
+    i = 2 * ref.buses[0]
+    w = phi[..., i:i + 2]
     if len(ref.buses) == 2:
-        i, j = ref.buses
-        w = phi[2 * i:2 * i + 2] - phi[2 * j:2 * j + 2]
-    else:
-        (i,) = ref.buses
-        w = phi[2 * i:2 * i + 2]
-    dy = np.asarray(dy, dtype=complex)
-    return float((w.conj() @ (dy + dy.conj().T) @ w).real)
+        j = 2 * ref.buses[1]
+        w = w - phi[..., j:j + 2]
+    return quadratic_form(w, np.asarray(dy, dtype=complex))
 
 
 def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas) -> SensitivitySeries:
     """Nodal index and its derivative w.r.t. one component parameter.
 
     Degenerate frequencies are flagged per point (derivative NaN) instead
-    of aborting the sweep.
+    of aborting the sweep; the derivative is evaluated only off them.
     """
     ref = component(network, name)
     spec = nodal_passivity_sweep(network, omegas)
 
-    def point(k: int) -> float:
-        if spec.degenerate[k]:
-            return math.nan
-        dy = param_derivative(ref.model, param_name, 1j * spec.omegas[k])
-        return directional_nodal_sensitivity(spec.min_vectors[k], ref, dy)
+    def block(rows: slice):
+        ok = ~spec.degenerate[rows]
+        d = np.full(ok.shape, math.nan)
+        dy = param_derivative(ref.model, param_name, 1j * spec.omegas[rows][ok])
+        d[ok] = directional_nodal_sensitivity(spec.min_vectors[rows][ok], ref, dy)
+        return (d,)
 
+    (derivatives,) = join_blocks(parallel_map(block, frequency_blocks(spec.omegas.size, 2)))
     return SensitivitySeries(
         param_name=param_name,
         omegas=spec.omegas,
         indices=spec.indices,
-        derivatives=np.array(parallel_map(point, range(spec.omegas.size)), dtype=float),
+        derivatives=derivatives,
         degenerate=spec.degenerate,
     )
 
@@ -327,19 +396,20 @@ def participation_sweep(network: Network, omegas) -> ParticipationTable:
     refs = components(network)
     spec = nodal_passivity_sweep(network, omegas)
 
-    def point(k: int) -> np.ndarray:
-        if spec.degenerate[k]:
-            return np.full(len(refs), math.nan)
-        s = 1j * spec.omegas[k]
-        return np.array([
-            directional_nodal_sensitivity(spec.min_vectors[k], ref, ref.model.admittance(s))
+    def block(rows: slice):
+        s = 1j * spec.omegas[rows]
+        shares = np.stack([
+            directional_nodal_sensitivity(spec.min_vectors[rows], ref, ref.model.admittance(s))
             for ref in refs
-        ])
+        ], axis=-1)
+        shares[spec.degenerate[rows]] = math.nan
+        return (shares,)
 
+    (shares,) = join_blocks(parallel_map(block, frequency_blocks(spec.omegas.size, 2)))
     return ParticipationTable(
         names=tuple(r.name for r in refs),
         omegas=spec.omegas,
         indices=spec.indices,
-        values=np.stack(parallel_map(point, range(spec.omegas.size)), axis=1),
+        values=shares.T,
         degenerate=spec.degenerate,
     )

@@ -3,6 +3,7 @@
 Thin, contract-enforcing layer over LAPACK (via numpy): Hermitian and
 general eigendecomposition, determinant, adjugate, trace, inverse and
 linear solve, all at desk scale (matrices up to a few hundred rows).
+The Hermitian eigensolver also takes a stack (..., n, n) of matrices.
 
 Eigenvalue ordering is deterministic: Hermitian values ascend; general
 values sort by (real part, imaginary part) with ties broken by original
@@ -33,29 +34,31 @@ _ADJUGATE_COFACTOR_MAX = 8
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    values are real and ascending, so values[0] is the minimum eigenvalue;
-    vectors holds the matching orthonormal right eigenvectors as columns.
+    values (..., n) are real and ascending, so values[..., 0] is the
+    minimum eigenvalue; vectors (..., n, n) holds the matching orthonormal
+    right eigenvectors as columns.  The properties below are scalars for
+    one matrix and arrays over the stack otherwise.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
     @property
-    def min_value(self) -> float:
-        return float(self.values[0])
+    def min_value(self):
+        return self.values[..., 0][()]
 
     @property
     def min_vector(self) -> np.ndarray:
-        return self.vectors[:, 0]
+        return self.vectors[..., :, 0]
 
     @property
-    def eigen_gap(self) -> float:
+    def eigen_gap(self):
         """Separation between the two smallest eigenvalues (0 for 1x1)."""
-        if self.values.size < 2:
-            return 0.0
-        return float(self.values[1] - self.values[0])
+        if self.values.shape[-1] < 2:
+            return np.zeros(self.values.shape[:-1])[()]
+        return (self.values[..., 1] - self.values[..., 0])[()]
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,11 @@ class GeneralEigen:
     defective: bool
 
 
-def _as_square(a, op: str) -> np.ndarray:
+def _as_square(a, op: str, stacked: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{op} expects a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-2] != a.shape[-1]:
+        what = "a square matrix or a stack of them" if stacked else "a square matrix"
+        raise ValueError(f"{op} expects {what}, got shape {a.shape}")
     return a
 
 
@@ -87,19 +91,23 @@ def _check_finite(a: np.ndarray, op: str) -> None:
 
 
 def hermitian_eigen(h) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, values ascending.
+    """Eigendecomposition of a Hermitian matrix or a stack (..., n, n) of
+    them, values ascending.
 
     Raises NotHermitianError when ||H - H^dagger|| exceeds
-    HERMITIAN_RTOL * ||H||, NonFiniteError on NaN/inf entries.
+    HERMITIAN_RTOL * ||H|| for any matrix of the stack, NonFiniteError on
+    NaN/inf entries.
     """
-    h = _as_square(h, "hermitian_eigen")
+    h = _as_square(h, "hermitian_eigen", stacked=True)
     _check_finite(h, "hermitian_eigen")
-    scale = np.linalg.norm(h)
-    asym = np.linalg.norm(h - h.conj().T)
-    if asym > HERMITIAN_RTOL * max(scale, 1e-300):
+    scale = np.ravel(np.linalg.norm(h, axis=(-2, -1)))
+    asym = np.ravel(np.linalg.norm(h - np.swapaxes(h.conj(), -1, -2), axis=(-2, -1)))
+    bad = asym > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||H - H^dagger|| = {asym:.3e} "
-            f"(limit {HERMITIAN_RTOL * scale:.3e})"
+            f"matrix is not Hermitian: ||H - H^dagger|| = {asym[k]:.3e} "
+            f"(limit {HERMITIAN_RTOL * scale[k]:.3e})"
         )
     try:
         values, vectors = np.linalg.eigh(h)

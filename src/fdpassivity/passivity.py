@@ -13,6 +13,12 @@ first-order perturbation theory gives the exact parametric sensitivity
 valid while the minimum eigenvalue is simple.  Points where the two
 eigenvalues collide (within DEGENERACY_RTOL relative to ||H||_F) are
 flagged and their derivative reported as NaN rather than trusted.
+
+Every sweep evaluates its grid in fixed-size blocks of frequencies: each
+block is one stacked admittance evaluation and one batched eigensolve,
+and parallel_map spreads the blocks over worker threads.  The block size
+depends only on the matrix order, so results are the same bits for any
+worker count.
 """
 
 from __future__ import annotations
@@ -30,11 +36,34 @@ from .numerics import HermitianEigen, hermitian_eigen
 # shared with the network-level sensitivity code.
 DEGENERACY_RTOL = 1e-9
 
+# A block holds as many frequencies as fit a stacked (B, n, n) complex
+# array in this many bytes: 5 at n = 80, the whole grid for 2x2 and 6x6.
+# Larger blocks cost peak memory and save little; the size must not
+# depend on the worker count.
+BLOCK_BYTES = 1 << 19
+
+
+def frequency_blocks(points: int, n: int) -> list[slice]:
+    """Consecutive slices covering a grid of points for n x n matrices."""
+    size = max(1, BLOCK_BYTES // (16 * n * n))
+    return [slice(k, k + size) for k in range(0, max(points, 1), size)]
+
+
+def join_blocks(rows) -> tuple[np.ndarray, ...]:
+    """Per-block tuples of arrays, concatenated field by field."""
+    return tuple(np.concatenate(field) for field in zip(*rows))
+
 
 def hermitian_part(y: np.ndarray) -> np.ndarray:
-    """H = Y + Y^dagger (note: not halved)."""
+    """H = Y + Y^dagger (note: not halved), for one matrix or a stack."""
     y = np.asarray(y, dtype=complex)
-    return y + y.conj().T
+    return y + np.swapaxes(y.conj(), -1, -2)
+
+
+def quadratic_form(w: np.ndarray, dy: np.ndarray):
+    """Re w^dagger (dY + dY^dagger) w for 2-vectors w (..., 2) and 2x2 dY
+    (..., 2, 2): a float, or an array over the stack."""
+    return (w.conj()[..., None, :] @ hermitian_part(dy) @ w[..., :, None])[..., 0, 0].real[()]
 
 
 def passivity_eigen(y: np.ndarray) -> HermitianEigen:
@@ -47,7 +76,9 @@ def passivity_index(y: np.ndarray) -> float:
     return passivity_eigen(y).min_value
 
 
-def is_degenerate(eig: HermitianEigen, h_norm: float) -> bool:
+def is_degenerate(eig: HermitianEigen, h_norm):
+    """Whether the minimum eigenvalue is not simple; h_norm is ||H||_F,
+    one per matrix for a stack."""
     return eig.eigen_gap <= DEGENERACY_RTOL * h_norm
 
 
@@ -118,13 +149,11 @@ def index_sweep(model: DeviceModel, omegas) -> IndexSweep:
     """Evaluate the passivity index across a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
 
-    def point(w: float):
-        eig = passivity_eigen(model.admittance(1j * w))
+    def block(rows: slice):
+        eig = passivity_eigen(model.admittance(1j * omegas[rows]))
         return eig.min_value, eig.eigen_gap
 
-    rows = parallel_map(point, omegas)
-    idx = np.array([r[0] for r in rows])
-    gap = np.array([r[1] for r in rows])
+    idx, gap = join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2)))
     return IndexSweep(omegas=omegas, indices=idx, eigen_gaps=gap)
 
 
@@ -132,26 +161,27 @@ def param_passivity_sensitivity(model: DeviceModel, param_name: str, omegas) -> 
     """Index and d(index)/d(rho) across a frequency grid.
 
     Degenerate points are flagged per point (derivative NaN) instead of
-    aborting the sweep.
+    aborting the sweep; the derivative is evaluated only off them.
     """
     omegas = np.asarray(omegas, dtype=float)
 
-    def point(w: float):
-        h = hermitian_part(model.admittance(1j * w))
+    def block(rows: slice):
+        s = 1j * omegas[rows]
+        h = hermitian_part(model.admittance(s))
         eig = hermitian_eigen(h)
-        if is_degenerate(eig, np.linalg.norm(h)):
-            return eig.min_value, math.nan, True
-        dy = param_derivative(model, param_name, 1j * w)
-        phi = eig.min_vector
-        return eig.min_value, float((phi.conj() @ (dy + dy.conj().T) @ phi).real), False
+        degenerate = is_degenerate(eig, np.linalg.norm(h, axis=(-2, -1)))
+        ok = ~degenerate
+        d = np.full(degenerate.shape, math.nan)
+        d[ok] = quadratic_form(eig.min_vector[ok], param_derivative(model, param_name, s[ok]))
+        return eig.min_value, d, degenerate
 
-    rows = parallel_map(point, omegas)
+    idx, d, degenerate = join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2)))
     return SensitivitySeries(
         param_name=param_name,
         omegas=omegas,
-        indices=np.array([r[0] for r in rows]),
-        derivatives=np.array([r[1] for r in rows]),
-        degenerate=np.array([r[2] for r in rows], dtype=bool),
+        indices=idx,
+        derivatives=d,
+        degenerate=degenerate,
     )
 
 

@@ -1,0 +1,196 @@
+"""Stacked evaluation against one-s-at-a-time evaluation.
+
+Every admittance, assembly and sweep takes a 1-D array of s.  Element k of
+a stacked result must equal the result for s_k alone to the bit (RTOL = 0),
+because the stacked arithmetic rounds as Python's scalar complex arithmetic
+does (devices._cmul, devices._div): the published outputs and the
+benchmark's reference values were computed one s at a time.  The sweeps
+must not depend on how their grid is split into blocks or spread over
+worker threads.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fdpassivity.devices import (
+    GflConverterL1,
+    GflParams,
+    GfmConverterL1,
+    GfmParams,
+    OperatingPoint,
+    RlBranch,
+    ShuntCapacitor,
+    TheveninGrid,
+    param_derivative,
+    sample_model,
+)
+from fdpassivity.errors import NonFiniteError, NotHermitianError, SingularMatrixError
+from fdpassivity.network import (
+    Device,
+    Network,
+    assemble_devices,
+    assemble_net,
+    assemble_nodal,
+    nodal_passivity_sweep,
+)
+from fdpassivity.numerics import hermitian_eigen
+from fdpassivity.passivity import frequency_blocks, log_omega_grid
+
+from conftest import WB, random_passive_network
+
+RTOL = 0.0  # relative, per element: bit-identical
+
+positive = st.floats(0.01, 10.0)
+freqs_hz = st.lists(st.floats(0.1, 5000.0), min_size=1, max_size=12)
+sigmas = st.lists(st.floats(-300.0, 300.0), min_size=12, max_size=12)
+
+
+def op_point(p, q, v):
+    return OperatingPoint.from_terminal(p, q, v, WB)
+
+
+MODELS = {
+    "rl": st.builds(RlBranch, positive, positive, st.just(WB)),
+    "shunt_c": st.builds(ShuntCapacitor, positive, st.just(WB)),
+    "thevenin": st.builds(TheveninGrid, st.floats(0.5, 50.0), st.floats(0.5, 20.0), st.just(WB)),
+    "gfl_l1": st.builds(
+        GflConverterL1,
+        st.builds(GflParams, l_c=st.floats(0.05, 0.3), r_c=st.floats(0.005, 0.05),
+                  k_p_i=st.floats(0.2, 2.0), k_i_i=st.floats(5.0, 80.0),
+                  k_p_pll=st.floats(0.05, 2.0), k_i_pll=st.floats(5.0, 80.0),
+                  t_v=st.floats(0.0005, 0.01)),
+        st.builds(op_point, st.floats(-1.0, 1.0), st.floats(-0.5, 0.5), st.floats(0.9, 1.1))),
+    "gfm_l1": st.builds(
+        GfmConverterL1,
+        st.builds(GfmParams, h_vsm=st.floats(0.5, 10.0), d_vsm=st.floats(20.0, 500.0),
+                  l_v=st.floats(0.05, 0.5), r_v=st.floats(0.01, 0.3)),
+        st.builds(op_point, st.floats(-1.0, 1.0), st.floats(-0.5, 0.5), st.floats(0.9, 1.1))),
+}
+
+
+def assert_rows_match(stacked, one_at_a_time):
+    for k, ref in enumerate(one_at_a_time):
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert stacked[k].shape == ref.shape
+        assert np.abs(stacked[k] - ref).max() <= RTOL * scale
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_admittance_matches_scalar(kind, data):
+    model = data.draw(MODELS[kind])
+    f = np.array(data.draw(freqs_hz))
+    sigma = np.array(data.draw(sigmas))[:f.size]
+    signs = np.where(np.arange(f.size) % 3 == 2, -1.0, 1.0)
+    for s in (1j * 2 * math.pi * f * signs, sigma + 1j * 2 * math.pi * f):
+        y = model.admittance(s)
+        assert y.shape == (s.size, 2, 2)
+        assert_rows_match(y, [model.admittance(complex(sk)) for sk in s])
+        assert_rows_match(y, [model.admittance(sk) for sk in s])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_blackbox_matches_scalar(data):
+    bb = sample_model(data.draw(MODELS["gfl_l1"]), np.geomspace(1.0, 2000.0, 60))
+    f = np.clip(np.array(data.draw(freqs_hz)), 1.0, 2000.0)
+    s = 1j * 2 * math.pi * f * np.where(np.arange(f.size) % 2 == 1, -1.0, 1.0)
+    assert_rows_match(bb.admittance(s), [bb.admittance(complex(sk)) for sk in s])
+
+
+@pytest.mark.parametrize("kind", ["rl", "thevenin", "gfl_l1", "gfm_l1"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_stacked_param_derivative_matches_scalar(kind, data):
+    model = data.draw(MODELS[kind])
+    s = 1j * 2 * math.pi * np.array(data.draw(freqs_hz))
+    for name in model.param_names()[:3]:
+        d = param_derivative(model, name, s)
+        assert_rows_match(d, [param_derivative(model, name, complex(sk)) for sk in s])
+
+
+def network_with_converters(seed: int) -> Network:
+    rng = np.random.default_rng(seed)
+    net = random_passive_network(rng, int(rng.integers(1, 7)))
+    gfl = GflConverterL1(GflParams(k_p_pll=float(rng.uniform(0.1, 1.0))),
+                         OperatingPoint.from_terminal(0.6, 0.1, 1.0, WB))
+    gfm = GfmConverterL1(GfmParams(d_vsm=float(rng.uniform(50.0, 400.0))),
+                         OperatingPoint.from_terminal(-0.3, 0.05, 1.0, WB))
+    extra = tuple(Device(net.buses[int(rng.integers(len(net.buses)))], name, m)
+                  for name, m in (("gfl", gfl), ("gfm", gfm)))
+    return Network(buses=net.buses, branches=net.branches, shunts=net.shunts,
+                   devices=net.devices + extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), f=freqs_hz)
+def test_stacked_assembly_matches_scalar(seed, f):
+    net = network_with_converters(seed)
+    s = 1j * 2 * math.pi * np.array(f)
+    for assemble in (assemble_nodal, assemble_net, assemble_devices):
+        y = assemble(net, s)
+        assert y.shape == (s.size, 2 * net.n_buses, 2 * net.n_buses)
+        assert_rows_match(y, [assemble(net, complex(sk)) for sk in s])
+
+
+def test_guards_raise_for_any_element_of_a_stack(gfl_model):
+    s = 1j * 2 * math.pi * np.array([5.0, 50.0, 500.0])
+    for model in (gfl_model, GfmConverterL1(GfmParams(), OperatingPoint.from_terminal(
+            -0.35, 0.1, 1.0, WB))):
+        with pytest.raises(ValueError):
+            model.admittance(np.append(s, 0.0))
+    # 2 H s + D = 0 at s = -50 for H = 3, D = 300: the swing term vanishes
+    gfm = GfmConverterL1(GfmParams(h_vsm=3.0, d_vsm=300.0),
+                         OperatingPoint.from_terminal(-0.35, 0.1, 1.0, WB))
+    with pytest.raises(SingularMatrixError):
+        gfm.admittance(np.insert(s, 1, -50.0))
+    # a pure inductance is singular in the dq frame at s = j omega_b
+    with pytest.raises(SingularMatrixError):
+        RlBranch(0.0, 0.5, WB).admittance(np.append(s, 1j * WB))
+
+
+def test_hermitian_eigen_checks_every_matrix_of_a_stack():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    h = a + np.swapaxes(a.conj(), -1, -2)
+    eig = hermitian_eigen(h)
+    for k in range(4):
+        one = hermitian_eigen(h[k])
+        assert np.array_equal(eig.values[k], one.values)
+        assert np.array_equal(eig.min_vector[k], one.min_vector)
+        assert eig.min_value[k] == one.min_value and eig.eigen_gap[k] == one.eigen_gap
+    bad = h.copy()
+    bad[2, 0, 1] += 1.0
+    with pytest.raises(NotHermitianError):
+        hermitian_eigen(bad)
+    bad = h.copy()
+    bad[3, 1, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        hermitian_eigen(bad)
+
+
+def test_multi_block_nodal_sweep_same_bits_for_any_thread_count(monkeypatch):
+    net = network_with_converters(7)
+    net = Network(buses=net.buses + tuple(f"x{k}" for k in range(10)), branches=net.branches,
+                  shunts=net.shunts, devices=net.devices
+                  + tuple(Device(f"x{k}", f"load{k}", RlBranch(0.1 + 0.01 * k, 0.5, WB))
+                          for k in range(10)))
+    om = log_omega_grid(1.0, 2000.0, 200)
+    assert len(frequency_blocks(om.size, 2 * net.n_buses)) >= 3
+    sweeps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PASSIVITY_THREADS", threads)
+        sweeps.append(nodal_passivity_sweep(net, om))
+    one, two = sweeps
+    for field in ("indices", "eigen_gaps", "spectra", "min_vectors", "degenerate"):
+        assert np.array_equal(getattr(one, field), getattr(two, field)), field
+    # and a row does not depend on the block it was computed in
+    for k in (0, 57, 199):
+        alone = nodal_passivity_sweep(net, om[k:k + 1])
+        assert np.array_equal(alone.spectra[0], one.spectra[k])
+        assert np.array_equal(alone.min_vectors[0], one.min_vectors[k])

@@ -592,6 +592,21 @@ BAD_VALUES = {
                                      "analyses.gnc.points: unknown option (known: none)"),
     "unknown_thevenin_param": (_set_thevenin_param,
                                "shunts[0].params.zz: unknown parameter (known: scr, xr_ratio)"),
+    "unknown_op_key": (lambda doc: doc["devices"][0]["op"].update(qq=0.5),
+                       "devices[0].op.qq: unknown field (known: p, q, v)"),
+    "unknown_top_level_key": (
+        lambda doc: doc.update(standalone_stabel=True),
+        "standalone_stabel: unknown field (known: analyses, base, branches, buses, devices, "
+        "grid, name, schema, shunts, standalone_stable)"),
+    "unknown_base_key": (lambda doc: doc["base"].update(f_hzz=50.0),
+                         "base.f_hzz: unknown field (known: f_hz, s_va, v_v)"),
+    "unknown_grid_key": (lambda doc: doc["grid"].update(point=10),
+                         "grid.point: unknown field (known: f_max_hz, f_min_hz, freqs_hz, "
+                         "points, points_per_decade)"),
+    "unknown_device_key": (lambda doc: doc["devices"][0].update(nmae="x"),
+                           "devices[0].nmae: unknown field (known: bus, kind, name, op, params)"),
+    "unknown_shunt_key": (lambda doc: doc["shunts"][0].update(op={}),
+                          "shunts[0].op: unknown field (known: bus, kind, params)"),
 }
 
 
@@ -615,3 +630,27 @@ def test_declared_options_take_defaults(single_gfl_scenario):
     assert single_gfl_scenario.analyses["device-sens"] == {
         "device": "GFL-1", "param": "k_p_pll", "delta_pct": 5.0}
     assert single_gfl_scenario.analyses["gnc"] == {}
+
+
+def test_negative_rl_parameter_exits_2_and_writes_nothing(tmp_path, capsys):
+    doc = json.loads(fixture_path("three_bus.json").read_text(encoding="utf-8"))
+    doc["branches"][0]["params"]["r"] = -0.1
+    p = write_scenario(tmp_path, doc)
+    code = main(["nodal-passivity", "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario validation failed:")
+    assert "  - branches[0]: RL element needs r >= 0, x >= 0 and not both zero\n" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_loader_accepts_the_benchmark_scenarios(tmp_path):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs_readonly", Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for k, doc in enumerate([inputs.ladder_scenario(1), inputs.single_gfl_scenario(1.3, 0.66)]):
+        path = tmp_path / f"b{k}.json"
+        inputs.write_scenario(path, doc)
+        load_scenario(path)
