@@ -108,13 +108,6 @@ def _div(a, b):
     a = np.asarray(a, dtype=complex)
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     ar, ai = a.real, a.imag
-    if type(b) is float:  # the first branch below with bi = 0, denom = b
-        if b == 0:
-            raise ZeroDivisionError("complex division by zero")
-        ratio = 0.0 / b
-        out.real = (ar + ai * ratio) / b
-        out.imag = (ai - ar * ratio) / b
-        return out[()]
     b = np.asarray(b, dtype=complex)
     br, bi = b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)

@@ -94,17 +94,16 @@ class _Part:
 
     The part's models are evaluated through evaluators (devices.combine),
     whose outputs, concatenated, stack one 2x2 admittance per slot.  Entry
-    k of the flattened 2N x 2N matrix at target[k] receives entry source[k]
-    of that stack flattened and, for series elements, followed by its
+    target[k] of the flattened 2N x 2N matrix receives entry source[k] of
+    that stack flattened and, for series elements, followed by its
     negative.  The entries run component by component, so each matrix
     entry sums its contributions in component order.
     """
 
     evaluators: tuple
     target: np.ndarray
-    source: np.ndarray | None  # None: the stack is already in target order
-    series: bool               # source reaches into the negatives
-    unique: bool               # no entry of the matrix receives two values
+    source: np.ndarray
+    series: bool  # source reaches into the negatives
 
     @classmethod
     def of(cls, n_buses: int, placed) -> "_Part":
@@ -123,11 +122,9 @@ class _Part:
                     for q in range(2):
                         target.append((2 * row + p) * n + 2 * col + q)
                         source.append(offset + 4 * slot[k] + 2 * p + q)
-        in_order = source == list(range(len(source)))
         return cls(tuple((m, combined) for m, _, combined in evaluators),
-                   np.array(target, dtype=np.intp),
-                   None if in_order else np.array(source, dtype=np.intp),
-                   any(j is not None for _, _, j in placed), len(set(target)) == len(target))
+                   np.array(target, dtype=np.intp), np.array(source, dtype=np.intp),
+                   any(j is not None for _, _, j in placed))
 
 
 @dataclass(frozen=True)
@@ -244,14 +241,9 @@ def _assemble(network: Network, s, part: _Part) -> np.ndarray:
         flat = [(m.admittance(np.asarray(s)[..., None]) if combined else m.admittance(s))
                 .reshape(shape + (-1,)) for m, combined in part.evaluators]
         yc = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
-        if part.source is not None:
-            if part.series:
-                yc = np.concatenate([yc, -yc], axis=-1)
-            yc = yc[..., part.source]
-        if part.unique:
-            y.T[part.target] += yc.T
-        else:
-            np.add.at(y.T, part.target, yc.T)
+        if part.series:
+            yc = np.concatenate([yc, -yc], axis=-1)
+        np.add.at(y.T, part.target, yc[..., part.source].T)
     return y.reshape(shape + (n, n))
 
 
@@ -349,15 +341,10 @@ def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas
     """
     ref = component(network, name)
     spec = nodal_passivity_sweep(network, omegas)
-
-    def block(rows: slice):
-        ok = ~spec.degenerate[rows]
-        d = np.full(ok.shape, math.nan)
-        dy = param_derivative(ref.model, param_name, 1j * spec.omegas[rows][ok])
-        d[ok] = directional_nodal_sensitivity(spec.min_vectors[rows][ok], ref, dy)
-        return (d,)
-
-    (derivatives,) = join_blocks(parallel_map(block, frequency_blocks(spec.omegas.size, 2)))
+    ok = ~spec.degenerate
+    derivatives = np.full(ok.shape, math.nan)
+    dy = param_derivative(ref.model, param_name, 1j * spec.omegas[ok])
+    derivatives[ok] = directional_nodal_sensitivity(spec.min_vectors[ok], ref, dy)
     return SensitivitySeries(
         param_name=param_name,
         omegas=spec.omegas,
@@ -395,21 +382,16 @@ def participation_sweep(network: Network, omegas) -> ParticipationTable:
     """
     refs = components(network)
     spec = nodal_passivity_sweep(network, omegas)
-
-    def block(rows: slice):
-        s = 1j * spec.omegas[rows]
-        shares = np.stack([
-            directional_nodal_sensitivity(spec.min_vectors[rows], ref, ref.model.admittance(s))
-            for ref in refs
-        ], axis=-1)
-        shares[spec.degenerate[rows]] = math.nan
-        return (shares,)
-
-    (shares,) = join_blocks(parallel_map(block, frequency_blocks(spec.omegas.size, 2)))
+    s = 1j * spec.omegas
+    shares = np.stack([
+        directional_nodal_sensitivity(spec.min_vectors, ref, ref.model.admittance(s))
+        for ref in refs
+    ])
+    shares[:, spec.degenerate] = math.nan
     return ParticipationTable(
         names=tuple(r.name for r in refs),
         omegas=spec.omegas,
         indices=spec.indices,
-        values=shares.T,
+        values=shares,
         degenerate=spec.degenerate,
     )
