@@ -94,16 +94,25 @@ class _Part:
 
     The part's models are evaluated through evaluators (devices.combine),
     whose outputs, concatenated, stack one 2x2 admittance per slot.  Entry
-    target[k] of the flattened 2N x 2N matrix receives entry source[k] of
-    that stack flattened and, for series elements, followed by its
+    k of the flattened 2N x 2N matrix at target[k] receives entry source[k]
+    of that stack flattened and, for series elements, followed by its
     negative.  The entries run component by component, so each matrix
     entry sums its contributions in component order.
+
+    Where no entry receives two values a fancy += adds the part, and an
+    identity permutation is skipped; both give the bits np.add.at gives.
+    They are there for the one-s-at-a-time calls of the threaded GNC scan:
+    np.add.at and a gather both hold such a call up while another thread
+    runs, and on the stability-study workload each of the two shortcuts
+    cuts the traced time per assembly call by more than its run-to-run
+    spread.
     """
 
     evaluators: tuple
     target: np.ndarray
-    source: np.ndarray
-    series: bool  # source reaches into the negatives
+    source: np.ndarray | None  # None: the stack is already in target order
+    series: bool               # source reaches into the negatives
+    unique: bool               # no entry of the matrix receives two values
 
     @classmethod
     def of(cls, n_buses: int, placed) -> "_Part":
@@ -122,9 +131,11 @@ class _Part:
                     for q in range(2):
                         target.append((2 * row + p) * n + 2 * col + q)
                         source.append(offset + 4 * slot[k] + 2 * p + q)
+        in_order = source == list(range(len(source)))
         return cls(tuple((m, combined) for m, _, combined in evaluators),
-                   np.array(target, dtype=np.intp), np.array(source, dtype=np.intp),
-                   any(j is not None for _, _, j in placed))
+                   np.array(target, dtype=np.intp),
+                   None if in_order else np.array(source, dtype=np.intp),
+                   any(j is not None for _, _, j in placed), len(set(target)) == len(target))
 
 
 @dataclass(frozen=True)
@@ -241,9 +252,14 @@ def _assemble(network: Network, s, part: _Part) -> np.ndarray:
         flat = [(m.admittance(np.asarray(s)[..., None]) if combined else m.admittance(s))
                 .reshape(shape + (-1,)) for m, combined in part.evaluators]
         yc = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
-        if part.series:
-            yc = np.concatenate([yc, -yc], axis=-1)
-        np.add.at(y.T, part.target, yc[..., part.source].T)
+        if part.source is not None:
+            if part.series:
+                yc = np.concatenate([yc, -yc], axis=-1)
+            yc = yc[..., part.source]
+        if part.unique:
+            y.T[part.target] += yc.T
+        else:
+            np.add.at(y.T, part.target, yc.T)
     return y.reshape(shape + (n, n))
 
 
