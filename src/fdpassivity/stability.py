@@ -15,6 +15,12 @@ Four instruments, all driven by the same network description:
   determinant), plus a seeded scan that harvests distinct modes from a
   region of the complex plane.
 
+GNC evaluates its grid in the fixed-size frequency blocks of the passivity
+sweeps (passivity.frequency_blocks): one stacked loop gain and one batched
+eigensolve per block, spread over worker threads by parallel_map, with the
+same bits for any worker count.  The other instruments work one s at a
+time.
+
 Winding numbers come from summed principal-value angle increments around
 (-1, 0) along the positive-frequency sweep; the negative-frequency half
 is its conjugate mirror and contributes the same total, and the two
@@ -45,7 +51,7 @@ from .errors import (
 )
 from .network import Network, assemble_devices, assemble_net, assemble_nodal
 from .numerics import adjugate, determinant, general_eigen, inverse, trace
-from .passivity import log_omega_grid
+from .passivity import frequency_blocks, log_omega_grid
 
 CRITICAL = -1.0 + 0.0j
 
@@ -54,8 +60,9 @@ CRITICAL = -1.0 + 0.0j
 UNSTABLE_RE_RTOL = 1e-6
 
 
-def loop_gain(network: Network, s: complex) -> np.ndarray:
-    """L = Z_net Y_a; raises SingularMatrixError at a network resonance."""
+def loop_gain(network: Network, s) -> np.ndarray:
+    """L = Z_net Y_a at a scalar s, (2N, 2N), or at each of a 1-D array of
+    s, (M, 2N, 2N); raises SingularMatrixError at a network resonance."""
     return inverse(assemble_net(network, s)) @ assemble_devices(network, s)
 
 
@@ -78,34 +85,44 @@ class GncVerdict:
 
 
 def _match_tracks(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Index permutation aligning nxt to the tracks ending at prev.
+    """Index permutation aligning nxt to the tracks ending at prev with the
+    minimal total displacement."""
+    rows, cols = linear_sum_assignment(np.abs(prev[:, None] - nxt[None, :]))
+    return cols[np.argsort(rows)]
 
-    Greedy nearest-neighbor; falls back to a minimal-total-displacement
-    assignment when greedy collides or two candidates are closer than
-    half the minimum inter-eigenvalue spacing.
+
+def _track_loci(values: np.ndarray) -> np.ndarray:
+    """Match the eigenvalues (K, m) at K frequencies into m continuous
+    tracks, (m, K).
+
+    Each step is greedy nearest-neighbour, and falls back to _match_tracks
+    when greedy collides or two candidates are closer than half the
+    minimum inter-eigenvalue spacing.  The greedy choice and both tests
+    depend only on the two eigenvalue sets, not on the track order, so
+    they are decided for all steps at once; a step's track permutation is
+    the greedy choice composed with the previous one.
     """
-    m = prev.size
-    dist = np.abs(prev[:, None] - nxt[None, :])
-    choice = np.argmin(dist, axis=1)
-    ambiguous = len(set(choice.tolist())) != m
-    if not ambiguous and m > 1:
-        sep = np.abs(nxt[:, None] - nxt[None, :])
-        np.fill_diagonal(sep, np.inf)
-        ranked = np.sort(dist, axis=1)
-        ambiguous = bool(np.any(ranked[:, 1] - ranked[:, 0] < 0.5 * sep.min()))
-    if ambiguous:
-        rows, cols = linear_sum_assignment(dist)
-        choice = cols[np.argsort(rows)]
-    return choice
-
-
-def _track_loci(per_freq: list[np.ndarray]) -> np.ndarray:
-    m = per_freq[0].size
-    loci = np.empty((m, len(per_freq)), dtype=complex)
-    loci[:, 0] = per_freq[0]
-    for k in range(1, len(per_freq)):
-        loci[:, k] = per_freq[k][_match_tracks(loci[:, k - 1], per_freq[k])]
-    return loci
+    k_count, m = values.shape
+    dist = np.abs(values[:-1, :, None] - values[1:, None, :])
+    choice = np.argmin(dist, axis=2)
+    picked = np.sort(choice, axis=1)
+    ambiguous = np.any(picked[:, 1:] == picked[:, :-1], axis=1)
+    if m > 1:
+        sep = np.abs(values[1:, :, None] - values[1:, None, :])
+        sep[:, np.arange(m), np.arange(m)] = np.inf
+        ranked = np.sort(dist, axis=2)
+        ambiguous |= np.any(ranked[..., 1] - ranked[..., 0]
+                            < 0.5 * sep.min(axis=(1, 2))[:, None], axis=1)
+    perms = np.empty((k_count, m), dtype=np.intp)
+    perms[0] = np.arange(m)
+    for k in range(1, k_count):
+        if ambiguous[k - 1]:
+            perms[k] = _match_tracks(values[k - 1, perms[k - 1]], values[k])
+        else:
+            perms[k] = choice[k - 1, perms[k - 1]]
+    # C order: gnc's angle sums add in memory order, so the layout sets the
+    # last bits of winding_float
+    return np.ascontiguousarray(np.take_along_axis(values, perms, axis=1).T)
 
 
 def gnc(network: Network, omegas) -> tuple[LoopGainLoci, GncVerdict]:
@@ -120,10 +137,9 @@ def gnc(network: Network, omegas) -> tuple[LoopGainLoci, GncVerdict]:
     if np.any(omegas <= 0) or np.any(np.diff(omegas) <= 0):
         raise ValueError("frequencies must be positive and strictly increasing")
 
-    per_freq = parallel_map(
-        lambda w: general_eigen(loop_gain(network, 1j * w)).values, omegas
-    )
-    loci = _track_loci(per_freq)
+    loci = _track_loci(np.concatenate(parallel_map(
+        lambda rows: general_eigen(loop_gain(network, 1j * omegas[rows])).values,
+        frequency_blocks(omegas.size, 2 * network.n_buses))))
 
     rel = loci - CRITICAL
     dist = np.abs(rel)
@@ -180,14 +196,15 @@ def gnc_auto(
     max_doublings: int = 6,
 ) -> tuple[LoopGainLoci, GncVerdict]:
     """GNC on a log grid, doubling the density until the winding count is
-    unambiguous; re-raises RefineGrid if the cap is hit."""
-    last: RefineGridError | None = None
+    unambiguous; raises RefineGrid with the last grid's reason if the cap
+    is hit."""
     for level in range(max_doublings + 1):
         try:
             return gnc(network, log_omega_grid(f_min_hz, f_max_hz, points * 2 ** level))
         except RefineGridError as exc:
             last = exc
-    raise last
+    raise RefineGridError(f"{last} (after {max_doublings + 1} grids, "
+                          f"up to {points * 2 ** max_doublings} points)") from last
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,13 +6,16 @@ realizations of the control diagrams (the package eliminates the loops
 algebraically), the Hermitian eigenvalues from LDL-inertia bisection (the
 package calls LAPACK), and the test-network modes from explicitly derived
 characteristic polynomials (the package runs Muller iteration on the
-determinant).
+determinant).  The eigenlocus tracker is checked against a plain
+step-by-step loop (the package decides the greedy steps for all
+frequencies at once).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 I2 = np.eye(2)
@@ -185,3 +188,36 @@ def rlc_bus_modes(r: float, x: float, b: float, omega_b: float) -> np.ndarray:
     c0 = 1.0 - b * x + 1j * b * r
     roots = np.roots([c2, c1, c0])
     return np.concatenate([roots, roots.conj()])
+
+
+def _match_step(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Index permutation aligning nxt to the tracks ending at prev.
+
+    Greedy nearest-neighbour; falls back to a minimal-total-displacement
+    assignment when greedy collides or two candidates are closer than
+    half the minimum inter-eigenvalue spacing.
+    """
+    m = prev.size
+    dist = np.abs(prev[:, None] - nxt[None, :])
+    choice = np.argmin(dist, axis=1)
+    ambiguous = len(set(choice.tolist())) != m
+    if not ambiguous and m > 1:
+        sep = np.abs(nxt[:, None] - nxt[None, :])
+        np.fill_diagonal(sep, np.inf)
+        ranked = np.sort(dist, axis=1)
+        ambiguous = bool(np.any(ranked[:, 1] - ranked[:, 0] < 0.5 * sep.min()))
+    if ambiguous:
+        rows, cols = linear_sum_assignment(dist)
+        choice = cols[np.argsort(rows)]
+    return choice
+
+
+def track_loci_sequential(per_freq) -> np.ndarray:
+    """Eigenvalue sets per frequency matched into tracks (m, K), one step
+    at a time."""
+    m = per_freq[0].size
+    loci = np.empty((m, len(per_freq)), dtype=complex)
+    loci[:, 0] = per_freq[0]
+    for k in range(1, len(per_freq)):
+        loci[:, k] = per_freq[k][_match_step(loci[:, k - 1], per_freq[k])]
+    return loci

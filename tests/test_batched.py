@@ -4,9 +4,11 @@ Every admittance, assembly and sweep takes a 1-D array of s.  Element k of
 a stacked result must equal the result for s_k alone to the bit (RTOL = 0),
 because the stacked arithmetic rounds as Python's scalar complex arithmetic
 does (devices._cmul, devices._div): the published outputs and the
-benchmark's reference values were computed one s at a time.  The sweeps
-must not depend on how their grid is split into blocks or spread over
-worker threads.
+benchmark's reference values were computed one s at a time.  The stacked
+general eigensolver and inverse must give each matrix the bits it gets
+alone, and the GNC tracker must make the decisions the step-by-step loop
+makes.  The sweeps and GNC must not depend on how their grid is split into
+blocks or spread over worker threads.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdpassivity import passivity, stability
 from fdpassivity.devices import (
     GflConverterL1,
     GflParams,
@@ -37,10 +40,12 @@ from fdpassivity.network import (
     assemble_nodal,
     nodal_passivity_sweep,
 )
-from fdpassivity.numerics import hermitian_eigen
+from fdpassivity.numerics import general_eigen, hermitian_eigen, inverse
 from fdpassivity.passivity import frequency_blocks, log_omega_grid
+from fdpassivity.stability import _track_loci, gnc
 
-from conftest import WB, random_passive_network
+from conftest import WB, make_single_gfl, random_passive_network
+from oracles import track_loci_sequential
 
 RTOL = 0.0  # relative, per element: bit-identical
 
@@ -194,3 +199,83 @@ def test_multi_block_nodal_sweep_same_bits_for_any_thread_count(monkeypatch):
         alone = nodal_passivity_sweep(net, om[k:k + 1])
         assert np.array_equal(alone.spectra[0], one.spectra[k])
         assert np.array_equal(alone.min_vectors[0], one.min_vectors[k])
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), count=st.integers(1, 6), n=st.integers(1, 6),
+       tie=st.booleans())
+def test_stacked_general_eigen_and_inverse_match_one_at_a_time(seed, count, n, tie):
+    rng = np.random.default_rng(seed)
+    a = complex_normal(rng, (count, n, n))
+    if tie:  # repeated eigenvalues: the sort falls back to the original index
+        a[-1] = np.diag(rng.integers(1, 3, n).astype(complex))
+    eig, inv = general_eigen(a), inverse(a)
+    assert eig.defective.shape == (count,)
+    for k in range(count):
+        one = general_eigen(a[k])
+        for field in ("values", "right", "left"):
+            assert np.array_equal(getattr(eig, field)[k], getattr(one, field)), field
+        assert eig.defective[k] == one.defective
+        assert np.array_equal(inv[k], inverse(a[k]))
+
+
+def test_stacked_general_eigen_flags_only_the_defective_matrix():
+    a = complex_normal(np.random.default_rng(3), (3, 2, 2))
+    a[1] = [[1.0, 1.0], [0.0, 1.0]]  # Jordan block
+    eig = general_eigen(a)
+    assert eig.defective.tolist() == [False, True, False]
+    assert np.array_equal(eig.left[1], np.linalg.pinv(eig.right[1]))
+    for k in (0, 2):
+        assert np.array_equal(eig.left[k], np.linalg.inv(eig.right[k]))
+
+
+def test_inverse_raises_for_one_singular_matrix_of_a_stack():
+    a = complex_normal(np.random.default_rng(4), (4, 3, 3))
+    for k in range(4):
+        inverse(a[k])
+    a[2, :, 2] = a[2, :, 0] + 2.0 * a[2, :, 1]
+    with pytest.raises(SingularMatrixError):
+        inverse(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31), m=st.integers(1, 4), k=st.integers(2, 40),
+       kind=st.sampled_from(["crossing", "noise", "ties"]))
+def test_vectorised_tracking_matches_step_by_step(seed, m, k, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "crossing":  # straight tracks that cross, sampled coarsely
+        start, end = complex_normal(rng, m), complex_normal(rng, m)
+        values = start + np.linspace(0.0, 1.0, k)[:, None] * (end - start)
+    elif kind == "noise":  # jumps of the order of the spacing: many ambiguous steps
+        values = complex_normal(rng, (k, m))
+    else:  # a lattice: repeated eigenvalues and exact distance ties
+        values = rng.integers(-2, 3, (k, m)) + 1j * rng.integers(-2, 3, (k, m))
+    values = np.take_along_axis(values, np.argsort(rng.random((k, m)), axis=1), axis=1)
+    assert np.array_equal(_track_loci(values), track_loci_sequential(list(values)))
+
+
+def test_multi_block_gnc_same_bits_for_any_thread_count(monkeypatch):
+    net = make_single_gfl(scr=1.3, k_p_pll=0.4)
+    om = log_omega_grid(0.01, 1e4, 800)
+    whole_loci, whole_verdict = gnc(net, om)
+    monkeypatch.setattr(passivity, "BLOCK_BYTES", 64 * 100)  # 100 2x2 matrices a block
+    assert len(frequency_blocks(om.size, 2 * net.n_buses)) == 8
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PASSIVITY_THREADS", threads)
+        loci, verdict = gnc(net, om)
+        assert np.array_equal(loci.loci, whole_loci.loci)
+        assert verdict == whole_verdict
+
+
+def test_gnc_calls_loop_gain_once_per_block(monkeypatch):
+    sizes = []
+    loop_gain = stability.loop_gain
+    monkeypatch.setattr(stability, "loop_gain",
+                        lambda net, s: sizes.append(np.size(s)) or loop_gain(net, s))
+    monkeypatch.setattr(passivity, "BLOCK_BYTES", 64 * 100)
+    gnc(make_single_gfl(), log_omega_grid(0.01, 1e4, 800))
+    assert sizes == [100] * 8

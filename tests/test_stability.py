@@ -77,7 +77,7 @@ def test_gnc_refuses_contour_pole():
     # a lossless-C-only net side is singular at s = j*omega_b, putting a
     # loop-gain pole on the contour; no grid density can resolve the
     # winding there and the refusal must survive doubling
-    with pytest.raises(RefineGridError):
+    with pytest.raises(RefineGridError, match=r"after 3 grids, up to 400 points\)$"):
         gnc_auto(make_rlc_bus(*RLC), 0.01, 1e4, points=100, max_doublings=2)
 
 
