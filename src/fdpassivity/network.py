@@ -98,19 +98,12 @@ class _Part:
     of that stack flattened and, for series elements, followed by its
     negative.  The entries run component by component, so each matrix
     entry sums its contributions in component order.
-
-    Where no entry receives two values a fancy += adds the part, and an
-    identity permutation is skipped; both give the bits np.add.at gives.
-    They are there for the one-s-at-a-time calls of the mode scan (Muller
-    iteration and the determinant derivative), where each saves 0.2-0.7 us
-    per part and call against np.add.at and a gather on one 20x20 matrix.
     """
 
     evaluators: tuple
     target: np.ndarray
-    source: np.ndarray | None  # None: the stack is already in target order
-    series: bool               # source reaches into the negatives
-    unique: bool               # no entry of the matrix receives two values
+    source: np.ndarray
+    series: bool  # source reaches into the negatives
 
     @classmethod
     def of(cls, n_buses: int, placed) -> "_Part":
@@ -129,11 +122,9 @@ class _Part:
                     for q in range(2):
                         target.append((2 * row + p) * n + 2 * col + q)
                         source.append(offset + 4 * slot[k] + 2 * p + q)
-        in_order = source == list(range(len(source)))
         return cls(tuple((m, combined) for m, _, combined in evaluators),
-                   np.array(target, dtype=np.intp),
-                   None if in_order else np.array(source, dtype=np.intp),
-                   any(j is not None for _, _, j in placed), len(set(target)) == len(target))
+                   np.array(target, dtype=np.intp), np.array(source, dtype=np.intp),
+                   any(j is not None for _, _, j in placed))
 
 
 @dataclass(frozen=True)
@@ -250,14 +241,9 @@ def _assemble(network: Network, s, part: _Part) -> np.ndarray:
         flat = [(m.admittance(np.asarray(s)[..., None]) if combined else m.admittance(s))
                 .reshape(shape + (-1,)) for m, combined in part.evaluators]
         yc = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
-        if part.source is not None:
-            if part.series:
-                yc = np.concatenate([yc, -yc], axis=-1)
-            yc = yc[..., part.source]
-        if part.unique:
-            y.T[part.target] += yc.T
-        else:
-            np.add.at(y.T, part.target, yc.T)
+        if part.series:
+            yc = np.concatenate([yc, -yc], axis=-1)
+        np.add.at(y.T, part.target, yc[..., part.source].T)
     return y.reshape(shape + (n, n))
 
 

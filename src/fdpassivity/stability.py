@@ -96,23 +96,21 @@ def _track_loci(values: np.ndarray) -> np.ndarray:
     tracks, (m, K).
 
     Each step is greedy nearest-neighbour, and falls back to _match_tracks
-    when greedy collides or two candidates are closer than half the
-    minimum inter-eigenvalue spacing.  The greedy choice and both tests
-    depend only on the two eigenvalue sets, not on the track order, so
-    they are decided for all steps at once; a step's track permutation is
-    the greedy choice composed with the previous one.
+    only when greedy collides (two tracks pick one eigenvalue); a greedy
+    permutation already has the minimal total displacement.  The greedy
+    choice depends only on the two eigenvalue sets, not on the track
+    order, so it is decided for all steps first, in the frequency blocks
+    of the sweeps: the distance tables then take at most
+    passivity.BLOCK_BYTES at a time, plus O(K m) for the result.  A step's
+    track permutation is the greedy choice composed with the previous one.
     """
     k_count, m = values.shape
-    dist = np.abs(values[:-1, :, None] - values[1:, None, :])
-    choice = np.argmin(dist, axis=2)
+    before, after = values[:-1], values[1:]
+    choice = np.empty((k_count - 1, m), dtype=np.intp)
+    for rows in frequency_blocks(k_count - 1, m):
+        choice[rows] = np.argmin(np.abs(before[rows, :, None] - after[rows, None, :]), axis=2)
     picked = np.sort(choice, axis=1)
     ambiguous = np.any(picked[:, 1:] == picked[:, :-1], axis=1)
-    if m > 1:
-        sep = np.abs(values[1:, :, None] - values[1:, None, :])
-        sep[:, np.arange(m), np.arange(m)] = np.inf
-        ranked = np.sort(dist, axis=2)
-        ambiguous |= np.any(ranked[..., 1] - ranked[..., 0]
-                            < 0.5 * sep.min(axis=(1, 2))[:, None], axis=1)
     perms = np.empty((k_count, m), dtype=np.intp)
     perms[0] = np.arange(m)
     for k in range(1, k_count):

@@ -12,6 +12,7 @@ blocks or spread over worker threads.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,8 +245,8 @@ def test_inverse_raises_for_one_singular_matrix_of_a_stack():
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**31), m=st.integers(1, 4), k=st.integers(2, 40),
-       kind=st.sampled_from(["crossing", "noise", "ties"]))
-def test_vectorised_tracking_matches_step_by_step(seed, m, k, kind):
+       kind=st.sampled_from(["crossing", "noise", "ties"]), block=st.integers(1, 8))
+def test_vectorised_tracking_matches_step_by_step(seed, m, k, kind, block):
     rng = np.random.default_rng(seed)
     if kind == "crossing":  # straight tracks that cross, sampled coarsely
         start, end = complex_normal(rng, m), complex_normal(rng, m)
@@ -255,7 +256,23 @@ def test_vectorised_tracking_matches_step_by_step(seed, m, k, kind):
     else:  # a lattice: repeated eigenvalues and exact distance ties
         values = rng.integers(-2, 3, (k, m)) + 1j * rng.integers(-2, 3, (k, m))
     values = np.take_along_axis(values, np.argsort(rng.random((k, m)), axis=1), axis=1)
-    assert np.array_equal(_track_loci(values), track_loci_sequential(list(values)))
+    with pytest.MonkeyPatch.context() as mp:  # steps decided a few at a time
+        mp.setattr(passivity, "BLOCK_BYTES", 16 * m * m * block)
+        assert np.array_equal(_track_loci(values), track_loci_sequential(list(values)))
+
+
+def test_tracking_memory_does_not_grow_with_k_m_squared():
+    k, m = 2001, 32
+    rng = np.random.default_rng(7)
+    values = np.cumsum(0.01 * complex_normal(rng, (k, m)), axis=0) + np.arange(m)
+    tracemalloc.start()
+    try:
+        _track_loci(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-grid distance table alone would take 16 * k * m * m = 33 MB
+    assert peak < 4 * values.nbytes + 2 * passivity.BLOCK_BYTES
 
 
 def test_multi_block_gnc_same_bits_for_any_thread_count(monkeypatch):
