@@ -237,7 +237,7 @@ def _assemble(network: Network, s, part: _Part) -> np.ndarray:
     n = 2 * network.n_buses
     shape = getattr(s, "shape", ())
     y = np.zeros(shape + (n * n,), dtype=complex)
-    if part.evaluators:
+    if part.evaluators and y.size:
         flat = [(m.admittance(np.asarray(s)[..., None]) if combined else m.admittance(s))
                 .reshape(shape + (-1,)) for m, combined in part.evaluators]
         yc = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)

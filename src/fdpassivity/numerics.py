@@ -3,9 +3,9 @@
 Thin, contract-enforcing layer over LAPACK (via numpy): Hermitian and
 general eigendecomposition, determinant, adjugate, trace, inverse and
 linear solve, all at desk scale (matrices up to a few hundred rows).
-The Hermitian and general eigensolvers and the inverse also take a stack
-(..., n, n) of matrices; they check every matrix of it and give each the
-bits it gets alone.
+The Hermitian and general eigensolvers, the determinant and the inverse
+also take a stack (..., n, n) of matrices; they check every matrix of it
+and give each the bits it gets alone.
 
 Eigenvalue ordering is deterministic: Hermitian values ascend; general
 values sort by (real part, imaginary part) with ties broken by original
@@ -149,11 +149,14 @@ def general_eigen(a) -> GeneralEigen:
     return GeneralEigen(values=values, right=right, left=left, defective=defective[()])
 
 
-def determinant(a) -> complex:
-    """Determinant via LU. Never raises on singular input."""
-    a = _as_square(a, "determinant")
+def determinant(a):
+    """Determinant via LU of a matrix (a complex) or of each matrix of a
+    stack (..., n, n) (an array).  Never raises on singular input; raises
+    NonFiniteError when any matrix has a non-finite entry."""
+    a = _as_square(a, "determinant", stacked=True)
     _check_finite(a, "determinant")
-    return complex(np.linalg.det(a))
+    det = np.linalg.det(a)
+    return complex(det) if a.ndim == 2 else det
 
 
 def trace(a) -> complex:
@@ -207,7 +210,7 @@ def _cond_or_inf(a: np.ndarray) -> float:
         c = np.linalg.cond(a)
     except np.linalg.LinAlgError:
         return np.inf
-    return float(np.max(c)) if np.all(np.isfinite(c)) else np.inf
+    return float(np.max(c, initial=0.0)) if np.all(np.isfinite(c)) else np.inf
 
 
 def inverse(a) -> np.ndarray:

@@ -18,8 +18,12 @@ Four instruments, all driven by the same network description:
 GNC evaluates its grid in the fixed-size frequency blocks of the passivity
 sweeps (passivity.frequency_blocks): one stacked loop gain and one batched
 eigensolve per block, spread over worker threads by parallel_map, with the
-same bits for any worker count.  The other instruments work one s at a
-time.
+same bits for any worker count.  The mode scan runs the Muller searches
+of all its seeds in lockstep: each round evaluates det Y_n at the next
+point of every live search as one stack, in the same blocks, and a seed
+that meets a point where det Y_n is not evaluable is re-run alone by
+refine_mode.  xi evaluates its four difference points as one stack;
+refine_mode and the participation factors work at one s.
 
 Winding numbers come from summed principal-value angle increments around
 (-1, 0) along the positive-frequency sweep; the negative-frequency half
@@ -44,6 +48,7 @@ from .errors import (
     DefectiveMatrixError,
     NoConvergenceError,
     NonFiniteError,
+    NumericalFailure,
     OutOfRegionError,
     RefineGridError,
     SingularMatrixError,
@@ -58,6 +63,9 @@ CRITICAL = -1.0 + 0.0j
 # A mode counts as unstable when its real part clears this fraction of
 # omega_b; far below physical damping scales, far above eigenvalue noise.
 UNSTABLE_RE_RTOL = 1e-6
+
+# Muller steps a mode search may take before it counts as not converged.
+MAX_ITERATIONS = 100
 
 
 def loop_gain(network: Network, s) -> np.ndarray:
@@ -256,15 +264,11 @@ def fd_pf(network: Network, s: complex) -> FdParticipation:
     )
 
 
-def _det_nodal(network: Network, s: complex) -> complex:
-    return determinant(assemble_nodal(network, s))
-
-
 def _try_det(network: Network, s: complex) -> complex | None:
     """det Y_n(s), or None where it is not evaluable (device poles make
     det meromorphic; an exact pole hit raises deep in a model)."""
     try:
-        val = _det_nodal(network, s)
+        val = determinant(assemble_nodal(network, s))
     except (ZeroDivisionError, SingularMatrixError, ValueError):
         return None
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
@@ -287,21 +291,49 @@ def _det_nudged(network: Network, s: complex, span: float) -> tuple[complex, com
     return None
 
 
+def _det_stack(network: Network, s: np.ndarray) -> np.ndarray:
+    """det Y_n at each point of a 1-D array s, one stacked evaluation per
+    frequency block.
+
+    A point where a model or the determinant raises (a device pole, a
+    black box off the j omega axis) gives NaN, and so may a point whose
+    det overflows.  The caller treats every non-finite value as not
+    evaluable and re-runs the seed that met it with refine_mode, which
+    steps off such a point or raises.
+    """
+    return np.concatenate([_det_bisected(network, s[rows])
+                           for rows in frequency_blocks(s.size, 2 * network.n_buses)])
+
+
+def _det_bisected(network: Network, s: np.ndarray) -> np.ndarray:
+    """det Y_n at each point of s as one stack; a stack that raises is
+    bisected, so only its failing points give NaN."""
+    try:
+        return determinant(assemble_nodal(network, s))
+    except (ZeroDivisionError, ValueError, NumericalFailure):
+        if s.size == 1:
+            return np.full(1, complex(math.nan, math.nan))
+        half = s.size // 2
+        return np.concatenate([_det_bisected(network, s[:half]),
+                               _det_bisected(network, s[half:])])
+
+
 def xi_coefficient(network: Network, lam: complex, omega_b: float) -> complex:
     """xi = -tr(adj(Y_n(lambda))) / det'(lambda).
 
     The determinant derivative uses central differences with step
-    h = 1e-6 * max(|lambda|, omega_b) and one Richardson level.
+    h = 1e-6 * max(|lambda|, omega_b) and one Richardson level; the four
+    determinants come from one stacked evaluation.
     """
     h = 1e-6 * max(abs(lam), omega_b)
+    fp, fm, fp2, fm2 = (complex(f) for f in determinant(assemble_nodal(
+        network, np.array([lam + h, lam - h, lam + h / 2.0, lam - h / 2.0]))))
 
-    def quotient(step: float) -> tuple[complex, float]:
-        fp = _det_nodal(network, lam + step)
-        fm = _det_nodal(network, lam - step)
+    def quotient(fp: complex, fm: complex, step: float) -> tuple[complex, float]:
         return (fp - fm) / (2.0 * step), max(abs(fp), abs(fm))
 
-    d_h, m1 = quotient(h)
-    d_h2, m2 = quotient(h / 2.0)
+    d_h, m1 = quotient(fp, fm, h)
+    d_h2, m2 = quotient(fp2, fm2, h / 2.0)
     d = (4.0 * d_h2 - d_h) / 3.0
     scale = max(m1, m2) / h
     if abs(d) < 1e-14 * max(scale, 1e-300):
@@ -337,41 +369,36 @@ def _in_region(s: complex, region) -> bool:
     return re_lo <= s.real <= re_hi and im_lo <= s.imag <= im_hi
 
 
-def refine_mode(
-    network: Network,
-    s0: complex,
-    omega_b: float,
-    region=None,
-    max_iterations: int = 100,
-) -> ModeEstimate:
-    """Muller iteration on det Y_n(s) from seed s0.
-
-    region, when given, is (re_min, re_max, im_min, im_max); iterates
-    leaving it raise OutOfRegion.  Converged means the step shrank to
-    1e-9 * max(|s|, omega_b) and the residual is small against the
-    largest determinant magnitude seen during the search.
-    """
-    if region is not None and not _in_region(complex(s0), region):
-        raise OutOfRegionError(f"seed {s0:.6g} outside the search region")
-
+def _muller_start(s0: complex, omega_b: float) -> tuple[float, tuple[complex, ...]]:
+    """The base step d of a search from seed s0 and its three start points."""
     d = 1e-4 * max(abs(s0), omega_b)
-    xs, fs = [], []
-    for seed in (complex(s0) - d, complex(s0) + d, complex(s0)):
-        got = _det_nudged(network, seed, d)
-        if got is None:
-            raise NoConvergenceError(
-                f"determinant not evaluable near seed {s0:.6g}", partial=None
-            )
-        xs.append(got[0])
-        fs.append(got[1])
-    fscale = max(max(abs(f) for f in fs), 1e-300)
+    return d, (s0 - d, s0 + d, s0)
 
-    x2 = xs[2]
-    for it in range(1, max_iterations + 1):
-        (x0, x1, x2), (f0, f1, f2) = xs, [f / fscale for f in fs]
+
+class _Muller:
+    """Muller iteration on det Y_n from three evaluated start points.
+
+    propose() gives the next iterate and accept() takes det Y_n there,
+    returning the estimate once the step has shrunk.  refine_mode feeds
+    one search one point at a time; mode_scan feeds all its seeds'
+    searches one stack per round.  Both take the same steps in the same
+    scalar complex arithmetic.
+    """
+
+    def __init__(self, xs, fs, d: float, omega_b: float, region):
+        self.xs, self.fs = list(xs), list(fs)
+        self.fscale = max(max(abs(f) for f in fs), 1e-300)
+        self.d, self.omega_b, self.region = d, omega_b, region
+        self.iterations = 0
+
+    def propose(self) -> complex:
+        """The next iterate; raises NonFiniteError, or OutOfRegionError when
+        it leaves the region."""
+        self.iterations += 1
+        it = self.iterations
+        (x0, x1, x2), (f0, f1, f2) = self.xs, [f / self.fscale for f in self.fs]
         if x1 == x0 or x2 == x1:
-            step = d * (1 + it)
-            x3 = x2 + step
+            x3 = x2 + self.d * (1 + it)
         else:
             q = (x2 - x1) / (x1 - x0)
             a = q * f2 - q * (1 + q) * f1 + q * q * f0
@@ -385,35 +412,126 @@ def refine_mode(
                 x3 = x2 - (x2 - x1) * (2 * c / den)
         if not (math.isfinite(x3.real) and math.isfinite(x3.imag)):
             raise NonFiniteError("Muller iterate became non-finite")
-        if region is not None and not _in_region(x3, region):
+        if self.region is not None and not _in_region(x3, self.region):
             raise OutOfRegionError(
                 f"iterate {x3:.6g} left the search region after {it} iterations"
             )
-        got = _det_nudged(network, x3, max(abs(x3 - x2), d))
-        if got is None:
-            partial = ModeEstimate(lam=x2, residual=abs(fs[2]), converged=False,
-                                   iterations=it)
-            raise NoConvergenceError(
-                f"determinant not evaluable near iterate {x3:.6g}", partial=partial
-            )
-        x3, f3 = got
-        fscale = max(fscale, abs(f3))
-        xs = [x1, x2, x3]
-        fs = [fs[1], fs[2], f3]
-        if abs(x3 - x2) <= 1e-9 * max(abs(x3), omega_b):
-            residual = abs(f3)
-            return ModeEstimate(
-                lam=x3,
-                residual=residual,
-                converged=(residual <= 1e-8 * fscale),
-                iterations=it,
-            )
-    partial = ModeEstimate(lam=xs[2], residual=abs(fs[2]), converged=False,
-                           iterations=max_iterations)
-    raise NoConvergenceError(
-        f"Muller did not converge from seed {s0:.6g} in {max_iterations} iterations",
-        partial=partial,
+        return x3
+
+    def accept(self, x3: complex, f3: complex) -> ModeEstimate | None:
+        """Take det Y_n(x3) = f3, x3 being the proposal or a point nudged off
+        it; the estimate once the step shrank to 1e-9 * max(|x3|, omega_b)."""
+        x2 = self.xs[2]
+        self.fscale = max(self.fscale, abs(f3))
+        self.xs = [self.xs[1], x2, x3]
+        self.fs = [self.fs[1], self.fs[2], f3]
+        if abs(x3 - x2) > 1e-9 * max(abs(x3), self.omega_b):
+            return None
+        residual = abs(f3)
+        return ModeEstimate(lam=x3, residual=residual,
+                            converged=(residual <= 1e-8 * self.fscale),
+                            iterations=self.iterations)
+
+    @property
+    def partial(self) -> ModeEstimate:
+        """The latest point, unconverged."""
+        return ModeEstimate(lam=self.xs[2], residual=abs(self.fs[2]), converged=False,
+                            iterations=self.iterations)
+
+
+def _not_converged(s0, search: _Muller) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"Muller did not converge from seed {s0:.6g} in {search.iterations} iterations",
+        partial=search.partial,
     )
+
+
+def refine_mode(
+    network: Network,
+    s0: complex,
+    omega_b: float,
+    region=None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> ModeEstimate:
+    """Muller iteration on det Y_n(s) from seed s0.
+
+    region, when given, is (re_min, re_max, im_min, im_max); iterates
+    leaving it raise OutOfRegion.  Converged means the step shrank to
+    1e-9 * max(|s|, omega_b) and the residual is small against the
+    largest determinant magnitude seen during the search.  A point where
+    det Y_n is not evaluable is nudged off (see _det_nudged).
+    """
+    if region is not None and not _in_region(complex(s0), region):
+        raise OutOfRegionError(f"seed {s0:.6g} outside the search region")
+
+    d, starts = _muller_start(complex(s0), omega_b)
+    xs, fs = [], []
+    for x in starts:
+        got = _det_nudged(network, x, d)
+        if got is None:
+            raise NoConvergenceError(
+                f"determinant not evaluable near seed {s0:.6g}", partial=None
+            )
+        xs.append(got[0])
+        fs.append(got[1])
+    search = _Muller(xs, fs, d, omega_b, region)
+
+    for _ in range(max_iterations):
+        x3 = search.propose()
+        got = _det_nudged(network, x3, max(abs(x3 - search.xs[2]), d))
+        if got is None:
+            raise NoConvergenceError(
+                f"determinant not evaluable near iterate {x3:.6g}", partial=search.partial
+            )
+        est = search.accept(*got)
+        if est is not None:
+            return est
+    raise _not_converged(s0, search)
+
+
+def _lockstep(network: Network, seeds, omega_b: float, region) -> list:
+    """Muller from every seed at once, one stacked det Y_n per round.
+
+    Gives, per seed, what refine_mode(network, seed, omega_b, region)
+    would: its ModeEstimate or the exception it would raise.  None marks a
+    seed that met a point where det Y_n is not evaluable (or that starts
+    outside the region): refine_mode's nudging decides such a seed, so the
+    caller runs it alone.
+    """
+    outcomes: list = [None] * len(seeds)
+    starts = {k: _muller_start(s0, omega_b) for k, s0 in enumerate(seeds)
+              if _in_region(s0, region)}
+    dets = _det_stack(network, np.array([x for _, xs in starts.values() for x in xs],
+                                        dtype=complex)).reshape(-1, 3)
+    searches = {k: _Muller(xs, [complex(f) for f in fs], d, omega_b, region)
+                for (k, (d, xs)), fs in zip(starts.items(), dets) if np.all(np.isfinite(fs))}
+
+    for _ in range(MAX_ITERATIONS):
+        if not searches:
+            break
+        proposed = {}
+        for k, search in searches.items():
+            try:
+                proposed[k] = search.propose()
+            except (NonFiniteError, OutOfRegionError) as exc:
+                # kept without its traceback: that holds this frame, which
+                # holds outcomes, a cycle that would keep every round's
+                # stacks alive until the cyclic collector runs
+                outcomes[k] = exc.with_traceback(None)
+        dets = _det_stack(network, np.array(list(proposed.values()), dtype=complex))
+        live = {}
+        for (k, x3), f3 in zip(proposed.items(), dets):
+            if not np.isfinite(f3):
+                continue
+            est = searches[k].accept(x3, complex(f3))
+            if est is None:
+                live[k] = searches[k]
+            else:
+                outcomes[k] = est
+        searches = live
+    for k, search in searches.items():
+        outcomes[k] = _not_converged(seeds[k], search)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -435,8 +553,12 @@ def mode_scan(
     """Refine modes from a rectangular seed grid (upper half-plane; the
     conjugate partners are implied) and deduplicate the results.
 
-    Seeds that fail to converge or wander off are dropped; the scan is a
-    coverage tool, not a completeness proof.
+    Every seed's Muller search advances in lockstep with the others, one
+    stacked det Y_n per round, and gives what refine_mode from that seed
+    gives, to the bit; results are taken in seed order, so an error other
+    than a failed or wandering search is raised as a loop over the seeds
+    would raise it.  Seeds that fail to converge or wander off are dropped;
+    the scan is a coverage tool, not a completeness proof.
     """
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range
@@ -444,24 +566,30 @@ def mode_scan(
     pad_im = 0.2 * (im_hi - im_lo) + omega_b
     region = (re_lo - pad_re, re_hi + pad_re, im_lo - pad_im, im_hi + pad_im)
 
+    seeds = [complex(sig, omg) for sig in np.linspace(re_lo, re_hi, n_re)
+             for omg in np.linspace(im_lo, im_hi, n_im)]
     found: list[ModeEstimate] = []
-    for sig in np.linspace(re_lo, re_hi, n_re):
-        for omg in np.linspace(im_lo, im_hi, n_im):
+    for s0, est in zip(seeds, _lockstep(network, seeds, omega_b, region)):
+        if est is None:
             try:
-                est = refine_mode(network, complex(sig, omg), omega_b, region=region)
+                est = refine_mode(network, s0, omega_b, region=region)
             except (NoConvergenceError, OutOfRegionError):
                 continue
-            if not est.converged:
-                continue
-            if est.lam.imag < 0:
-                # real-coefficient models: fold onto the implied conjugate
-                est = ModeEstimate(lam=est.lam.conjugate(), residual=est.residual,
-                                   converged=est.converged, iterations=est.iterations)
-            dup = any(
-                abs(est.lam - kept.lam) <= 1e-6 * max(abs(est.lam), omega_b)
-                for kept in found
-            )
-            if not dup:
-                found.append(est)
+        if isinstance(est, (NoConvergenceError, OutOfRegionError)):
+            continue
+        if isinstance(est, Exception):
+            raise est
+        if not est.converged:
+            continue
+        if est.lam.imag < 0:
+            # real-coefficient models: fold onto the implied conjugate
+            est = ModeEstimate(lam=est.lam.conjugate(), residual=est.residual,
+                               converged=est.converged, iterations=est.iterations)
+        dup = any(
+            abs(est.lam - kept.lam) <= 1e-6 * max(abs(est.lam), omega_b)
+            for kept in found
+        )
+        if not dup:
+            found.append(est)
     unstable = any(m.lam.real > UNSTABLE_RE_RTOL * omega_b for m in found)
     return ModeScan(modes=tuple(found), unstable=unstable)

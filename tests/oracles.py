@@ -8,14 +8,20 @@ package calls LAPACK), and the test-network modes from explicitly derived
 characteristic polynomials (the package runs Muller iteration on the
 determinant).  The eigenlocus tracker is checked against a plain
 step-by-step loop (the package decides the greedy steps for all
-frequencies at once).
+frequencies at once), and so is the mode scan (the package runs every
+seed's Muller search in lockstep, one stacked determinant per round).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
+
+from fdpassivity.errors import NoConvergenceError, OutOfRegionError
+from fdpassivity.stability import UNSTABLE_RE_RTOL, ModeEstimate, ModeScan, refine_mode
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 I2 = np.eye(2)
@@ -221,3 +227,42 @@ def track_loci_sequential(per_freq) -> np.ndarray:
     for k in range(1, len(per_freq)):
         loci[:, k] = per_freq[k][_match_step(loci[:, k - 1], per_freq[k])]
     return loci
+
+
+def mode_scan_sequential(
+    network,
+    omega_b: float,
+    re_range: tuple[float, float] = (-500.0, 200.0),
+    im_range: tuple[float, float] = (0.0, 2.0 * math.pi * 500.0),
+    n_re: int = 7,
+    n_im: int = 11,
+) -> ModeScan:
+    """The seeded mode scan as a plain loop: refine_mode from one seed after
+    another, in seed order."""
+    re_lo, re_hi = re_range
+    im_lo, im_hi = im_range
+    pad_re = 0.2 * (re_hi - re_lo) + omega_b
+    pad_im = 0.2 * (im_hi - im_lo) + omega_b
+    region = (re_lo - pad_re, re_hi + pad_re, im_lo - pad_im, im_hi + pad_im)
+
+    found: list[ModeEstimate] = []
+    for sig in np.linspace(re_lo, re_hi, n_re):
+        for omg in np.linspace(im_lo, im_hi, n_im):
+            try:
+                est = refine_mode(network, complex(sig, omg), omega_b, region=region)
+            except (NoConvergenceError, OutOfRegionError):
+                continue
+            if not est.converged:
+                continue
+            if est.lam.imag < 0:
+                # real-coefficient models: fold onto the implied conjugate
+                est = ModeEstimate(lam=est.lam.conjugate(), residual=est.residual,
+                                   converged=est.converged, iterations=est.iterations)
+            dup = any(
+                abs(est.lam - kept.lam) <= 1e-6 * max(abs(est.lam), omega_b)
+                for kept in found
+            )
+            if not dup:
+                found.append(est)
+    unstable = any(m.lam.real > UNSTABLE_RE_RTOL * omega_b for m in found)
+    return ModeScan(modes=tuple(found), unstable=unstable)

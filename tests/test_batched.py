@@ -8,18 +8,23 @@ benchmark's reference values were computed one s at a time.  The stacked
 general eigensolver and inverse must give each matrix the bits it gets
 alone, and the GNC tracker must make the decisions the step-by-step loop
 makes.  The sweeps and GNC must not depend on how their grid is split into
-blocks or spread over worker threads.
+blocks or spread over worker threads.  The lockstep mode scan must return
+what refine_mode from one seed after another returns, to the bit, and
+raise what it raises.
 """
 
+import gc
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdpassivity import passivity, stability
+from fdpassivity import io_cli, passivity, stability
 from fdpassivity.devices import (
     GflConverterL1,
     GflParams,
@@ -32,21 +37,29 @@ from fdpassivity.devices import (
     param_derivative,
     sample_model,
 )
-from fdpassivity.errors import NonFiniteError, NotHermitianError, SingularMatrixError
+from fdpassivity.errors import (
+    NonFiniteError,
+    NotHermitianError,
+    NumericalFailure,
+    OutOfRangeError,
+    SingularMatrixError,
+)
 from fdpassivity.network import (
     Device,
     Network,
+    assemble_branches,
     assemble_devices,
     assemble_net,
     assemble_nodal,
+    assemble_shunts,
     nodal_passivity_sweep,
 )
-from fdpassivity.numerics import general_eigen, hermitian_eigen, inverse
+from fdpassivity.numerics import determinant, general_eigen, hermitian_eigen, inverse
 from fdpassivity.passivity import frequency_blocks, log_omega_grid
-from fdpassivity.stability import _track_loci, gnc
+from fdpassivity.stability import _track_loci, gnc, loop_gain, mode_scan
 
-from conftest import WB, make_single_gfl, random_passive_network
-from oracles import track_loci_sequential
+from conftest import WB, make_single_gfl, make_three_bus, random_passive_network
+from oracles import mode_scan_sequential, track_loci_sequential
 
 RTOL = 0.0  # relative, per element: bit-identical
 
@@ -296,3 +309,144 @@ def test_gnc_calls_loop_gain_once_per_block(monkeypatch):
     monkeypatch.setattr(passivity, "BLOCK_BYTES", 64 * 100)
     gnc(make_single_gfl(), log_omega_grid(0.01, 1e4, 800))
     assert sizes == [100] * 8
+
+
+@pytest.mark.parametrize("assemble", [assemble_branches, assemble_shunts, assemble_devices,
+                                      assemble_net, assemble_nodal, loop_gain])
+def test_empty_stack_gives_empty_stack(assemble):
+    net = make_three_bus()
+    assert assemble(net, np.array([], dtype=complex)).shape == (0, 6, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), count=st.integers(0, 6), n=st.integers(1, 6),
+       bad=st.integers(0, 5), value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_stacked_determinant_matches_one_at_a_time(seed, count, n, bad, value):
+    a = complex_normal(np.random.default_rng(seed), (count, n, n))
+    det = determinant(a)
+    assert det.shape == (count,)
+    for k in range(count):
+        assert det[k] == determinant(a[k])
+    if count:
+        a[bad % count, n - 1, 0] = value
+        with pytest.raises(NonFiniteError):
+            determinant(a)
+
+
+def load_bench_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs_readonly", Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def stability_ladder(tmp_path, seed: int) -> io_cli.Scenario:
+    """The benchmark's seeded stability-study ladder (10 buses)."""
+    inputs = load_bench_inputs()
+    path = tmp_path / f"ladder{seed}.json"
+    inputs.write_scenario(path, inputs.ladder_scenario(seed, inputs.STABILITY_LADDER_BUSES))
+    return io_cli.load_scenario(path)
+
+
+CRITERION_8 = [(scr, kp) for scr in (3.0, 1.3) for kp in (0.14, 0.4, 0.66)]
+
+
+@pytest.mark.parametrize("scr, k_p_pll", CRITERION_8)
+def test_lockstep_mode_scan_matches_sequential_criterion_8(scr, k_p_pll):
+    net = make_single_gfl(scr=scr, k_p_pll=k_p_pll)
+    assert mode_scan(net, WB) == mode_scan_sequential(net, WB)
+
+
+def test_lockstep_mode_scan_matches_sequential_fixtures():
+    for name in ("single_gfl", "three_bus"):
+        sc = io_cli.load_scenario(io_cli.fixture_path(f"{name}.json"))
+        opts = sc.analyses["modes"]
+        ranges = dict(re_range=(opts["re_min"], opts["re_max"]),
+                      im_range=(0.0, 2.0 * math.pi * opts["f_max_hz"]))
+        scan = mode_scan(sc.network, sc.omega_b, **ranges)
+        assert scan.modes
+        assert scan == mode_scan_sequential(sc.network, sc.omega_b, **ranges)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_mode_scan_matches_sequential_ladder(tmp_path, seed):
+    sc = stability_ladder(tmp_path, seed)
+    assert mode_scan(sc.network, sc.omega_b) == mode_scan_sequential(sc.network, sc.omega_b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_re=st.integers(1, 4), n_im=st.integers(1, 4), re_lo=st.floats(-700.0, 100.0),
+       re_width=st.floats(0.0, 800.0), im_lo=st.floats(0.0, 1000.0),
+       im_width=st.floats(0.0, 4000.0))
+@example(n_re=2, n_im=3, re_lo=-500.0, re_width=700.0, im_lo=0.0, im_width=3000.0)
+@example(n_re=1, n_im=1, re_lo=5e-250, re_width=0.0, im_lo=5e-250, im_width=0.0)
+def test_lockstep_mode_scan_matches_sequential_on_any_grid(n_re, n_im, re_lo, re_width,
+                                                           im_lo, im_width):
+    # re_lo = -500 puts a seed on the voltage filter pole s = -1 / t_v
+    net = make_single_gfl(scr=1.3, k_p_pll=0.66)
+    ranges = dict(re_range=(re_lo, re_lo + re_width), im_range=(im_lo, im_lo + im_width),
+                  n_re=n_re, n_im=n_im)
+
+    def outcome(scan):
+        # a seed within about 1e-150 of s = 0 overflows the PLL's 1/s and
+        # raises NonFiniteError; both scans must raise it alike
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return scan(net, WB, **ranges)
+        except NumericalFailure as exc:
+            return type(exc), str(exc)
+
+    assert outcome(mode_scan) == outcome(mode_scan_sequential)
+
+
+def test_lockstep_reruns_a_seed_on_a_model_pole_alone(monkeypatch):
+    seeds = []
+    refine_mode = stability.refine_mode
+    monkeypatch.setattr(stability, "refine_mode",
+                        lambda net, s0, *args, **kw: seeds.append(s0) or refine_mode(
+                            net, s0, *args, **kw))
+    mode_scan(make_single_gfl(), WB)
+    assert seeds == [complex(-1.0 / GflParams().t_v, 0.0)]
+
+
+def test_lockstep_mode_scan_raises_for_a_black_box():
+    net = make_single_gfl()
+    bb = sample_model(net.devices[0].model, np.geomspace(1.0, 2000.0, 60))
+    net = Network(buses=net.buses, shunts=net.shunts, devices=(Device("poc", "bb", bb),))
+    for scan in (mode_scan, mode_scan_sequential):
+        with pytest.raises(OutOfRangeError):
+            scan(net, WB)
+
+
+def test_lockstep_mode_scan_raises_for_a_non_finite_iterate(monkeypatch):
+    # finite determinants hardly make Muller's arithmetic overflow inside
+    # the scan region, so the square root of its step is made NaN
+    net = make_single_gfl()
+    monkeypatch.setattr(stability.cmath, "sqrt", lambda z: complex(math.nan, math.nan))
+    for scan in (mode_scan, mode_scan_sequential):
+        with pytest.raises(NonFiniteError, match="Muller iterate became non-finite"):
+            scan(net, WB)
+
+
+def test_lockstep_evaluates_in_frequency_blocks(monkeypatch):
+    sizes = []
+    assemble = stability.assemble_nodal
+    monkeypatch.setattr(stability, "assemble_nodal",
+                        lambda net, s: sizes.append(np.size(s)) or assemble(net, s))
+    monkeypatch.setattr(passivity, "BLOCK_BYTES", 64 * 10)  # 10 2x2 matrices a block
+    net = make_single_gfl(scr=3.0, k_p_pll=0.4)
+    assert mode_scan(net, WB) == mode_scan_sequential(net, WB)
+    assert max(sizes) == 10
+
+
+def test_mode_scan_leaves_no_reference_cycles():
+    # stored outcomes must not tie frames (and their stacks) into cycles
+    net = make_single_gfl(scr=1.3, k_p_pll=0.66)
+    gc.collect()
+    gc.disable()
+    try:
+        mode_scan(net, WB)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

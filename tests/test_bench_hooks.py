@@ -5,9 +5,13 @@ in its SITES table and wraps ``admittance`` where a DeviceModel subclass
 defines it in its own class body; bench/workloads.py calls three
 stability entry points by name.  A hook that no longer resolves makes a
 benchmark run come back malformed, so it fails here first.  The tracer
-module is only imported and read, never installed.
+module is loaded from its file, never changed; one test installs its
+Tracer around a stability pass and removes it again, because a layer that
+stability-study lists as mainly on but never calls fails a traced
+benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,7 +21,10 @@ import pytest
 
 from fdpassivity import devices, stability
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from conftest import WB, make_single_gfl
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -60,3 +67,32 @@ def test_every_concrete_model_defines_its_own_admittance():
 @pytest.mark.parametrize("name", ["mode_scan", "gnc_auto", "mode_admittance_sensitivity"])
 def test_stability_entry_points_exist(name):
     assert inspect.isfunction(getattr(stability, name, None))
+
+
+def mainly_on() -> dict:
+    """bench/workloads.py's MAINLY_ON, read from its source (the module
+    imports the benchmark's own inputs module)."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "MAINLY_ON"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/workloads.py defines no MAINLY_ON")
+
+
+def test_stability_study_calls_every_layer_it_is_mainly_on():
+    net = make_single_gfl(scr=1.3, k_p_pll=0.66)  # a criterion-8 case
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        tracer.on = True
+        stability.gnc_auto(net)
+        scan = stability.mode_scan(net, WB)
+        stability.mode_admittance_sensitivity(net, scan.modes[0].lam, WB)
+    finally:
+        tracer.on = False
+        tracer.uninstall()
+    _, calls = tracer.layer_metrics()
+    silent = [layer for layer in mainly_on()["stability-study"] if calls.get(layer, 0) == 0]
+    assert not silent, f"layers with zero calls: {silent}"

@@ -394,6 +394,19 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys, gfl_model):
     assert "numerical error:" in capsys.readouterr().err
 
 
+def test_modes_on_a_black_box_exits_3(tmp_path, capsys, gfl_model):
+    # a black box is evaluable on the j omega axis only; the mode scan
+    # searches off it
+    write_blackbox_table(tmp_path / "bb.csv", gfl_model, np.geomspace(1.0, 2000.0, 60))
+    doc = minimal_doc()
+    doc["devices"] = [{"bus": "b1", "name": "bb", "kind": "blackbox", "path": "bb.csv"}]
+    doc["analyses"] = {"modes": {}}
+    p = write_scenario(tmp_path, doc)
+    code = main(["modes", "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "only evaluable at s = j*omega" in capsys.readouterr().err
+
+
 def test_run_is_deterministic_in_process(single_gfl_scenario, tmp_path):
     paths = []
     for k in (1, 2):
