@@ -106,6 +106,9 @@ class IndexSweep:
 
     @property
     def passive_everywhere(self) -> bool:
+        """True when the index is >= 0 at every grid frequency: a sampled
+        verdict, which says nothing about frequencies between or outside
+        the grid points."""
         return bool(np.all(self.indices >= 0.0))
 
 

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._parallel import parallel_map
 from .errors import (
@@ -94,7 +93,14 @@ class GncVerdict:
 
 def _match_tracks(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """Index permutation aligning nxt to the tracks ending at prev with the
-    minimal total displacement."""
+    minimal total displacement.
+
+    scipy is imported here, not at module load: this runs only on tracking
+    steps whose greedy match collides, so importing the package loads numpy
+    alone, and scipy is loaded on the first such step.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(np.abs(prev[:, None] - nxt[None, :]))
     return cols[np.argsort(rows)]
 

@@ -96,9 +96,15 @@ def make_single_gfl(scr: float = 3.0, k_p_pll: float = 0.4) -> Network:
 def make_three_bus() -> Network:
     """Three-bus study system: two grid-forming units and one grid-following.
 
-    Branch impedances 0.086 + j0.69 on every pair; small lossless shunt
-    capacitors keep the passive network invertible without touching any
-    Hermitian part.
+    Branch impedances 0.086 + j0.69 on every pair, and a small lossless
+    shunt capacitor at each bus, which touches no Hermitian part.  The
+    capacitors do not keep the passive network invertible on the j omega
+    axis: a dq shunt capacitor is b((s/omega_b)I + J), singular at
+    s = +-j omega_b, and the floating network's common mode sees only the
+    capacitors.  cond(assemble_net(net, 1j * w)) is 2.9e16 at w = omega_b,
+    1.3e7 at omega_b +- 0.1 rad/s and 1.7e3 at omega_b / 2.  So Z_net, and with
+    it the loop gain, has an open-loop pole on the j omega axis, which is
+    why gnc on this network ends in RefineGridError near 377 rad/s.
 
     GFM-1 (b1) and GFM-2 (b2) are identical and the three lines are equal,
     so the case is symmetric under exchanging b1 and b2.  Above ~40 Hz the

@@ -1,0 +1,69 @@
+"""scipy stays off the import path.
+
+The package imports scipy only inside stability._match_tracks, on the
+first GNC tracking step whose greedy eigenvalue match collides.  Every
+other analysis runs on numpy alone.  The tests here run in fresh
+interpreters: in this process tests/oracles.py has already imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fdpassivity
+
+TESTS = Path(__file__).resolve().parent
+SRC = Path(fdpassivity.__file__).resolve().parent.parent
+
+REPORT_SCIPY = """
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run code in a new interpreter with src and tests on the path; the
+    scipy modules it has loaded when it ends."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(TESTS)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + REPORT_SCIPY],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_and_stability_analyses_never_load_scipy(tmp_path):
+    code = f"""
+from fdpassivity import io_cli, stability
+from conftest import WB, make_single_gfl
+
+for fixture in ("single_gfl.json", "three_bus.json"):
+    path = io_cli.fixture_path(fixture)
+    for analysis in io_cli.load_scenario(path).analyses:
+        status = io_cli.main([analysis, "--scenario", str(path),
+                              "--out", {str(tmp_path)!r} + "/" + analysis, "--svg"])
+        assert status == 0, (fixture, analysis, status)
+
+net = make_single_gfl(scr=1.3, k_p_pll=0.66)  # a criterion-8 case
+stability.gnc_auto(net)
+scan = stability.mode_scan(net, WB)
+stability.mode_admittance_sensitivity(net, scan.modes[0].lam, WB)
+"""
+    assert run_fresh(code) == []
+
+
+def test_colliding_tracking_step_loads_scipy_and_matches_oracle():
+    code = """
+import numpy as np
+from fdpassivity.stability import _track_loci
+
+# step 1: both tracks' nearest eigenvalue is 0.1, so greedy collides
+values = np.array([[0.0, 1.0], [0.1, 5.0], [4.0, 0.2], [0.3, 4.5]], dtype=complex)
+assert "scipy.optimize" not in sys.modules
+loci = _track_loci(values)
+
+from oracles import track_loci_sequential
+assert np.array_equal(loci, track_loci_sequential(list(values)))
+"""
+    assert "scipy.optimize" in run_fresh(code)
