@@ -17,8 +17,12 @@ Four instruments, all driven by the same network description:
 
 GNC evaluates its grid in the fixed-size frequency blocks of the passivity
 sweeps (passivity.frequency_blocks): one stacked loop gain and one batched
-eigensolve per block, spread over worker threads by parallel_map, with the
-same bits for any worker count.  The mode scan runs the Muller searches
+eigenvalue solve (no eigenvectors) per block, spread over worker threads
+by parallel_map, with the same bits for any worker count.  gnc_auto
+refines on nested grids, so each doubling solves only its new points.
+The loci tracker decides every greedy step at once and composes the
+step permutations by a prefix scan; only steps whose greedy match
+collides are settled one at a time.  The mode scan runs the Muller searches
 of all its seeds in lockstep: each round evaluates det Y_n at the next
 point of every live search as one stack, in the same blocks, and a seed
 that meets a point where det Y_n is not evaluable is re-run alone by
@@ -54,7 +58,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .network import Network, assemble_devices, assemble_net, assemble_nodal
-from .numerics import adjugate, determinant, general_eigen, inverse, trace
+from .numerics import adjugate, determinant, eigenvalues, general_eigen, inverse, trace
 from .passivity import frequency_blocks, log_omega_grid
 
 CRITICAL = -1.0 + 0.0j
@@ -116,7 +120,9 @@ def _track_loci(values: np.ndarray) -> np.ndarray:
     order, so it is decided for all steps first, in the frequency blocks
     of the sweeps: the distance tables then take at most
     passivity.BLOCK_BYTES at a time, plus O(K m) for the result.  A step's
-    track permutation is the greedy choice composed with the previous one.
+    track permutation is the greedy choice composed with the previous one;
+    between colliding steps these compositions come from one prefix scan,
+    and only the colliding steps are matched one at a time.
     """
     k_count, m = values.shape
     before, after = values[:-1], values[1:]
@@ -124,22 +130,45 @@ def _track_loci(values: np.ndarray) -> np.ndarray:
     for rows in frequency_blocks(k_count - 1, m):
         choice[rows] = np.argmin(np.abs(before[rows, :, None] - after[rows, None, :]), axis=2)
     picked = np.sort(choice, axis=1)
-    ambiguous = np.any(picked[:, 1:] == picked[:, :-1], axis=1)
+    ambiguous = np.flatnonzero(np.any(picked[:, 1:] == picked[:, :-1], axis=1)) + 1
     perms = np.empty((k_count, m), dtype=np.intp)
     perms[0] = np.arange(m)
-    for k in range(1, k_count):
-        if ambiguous[k - 1]:
-            perms[k] = _match_tracks(values[k - 1, perms[k - 1]], values[k])
-        else:
-            perms[k] = choice[k - 1, perms[k - 1]]
+    start = 0
+    for stop in [*ambiguous.tolist(), k_count]:
+        # greedy steps start+1 .. stop-1, then the colliding step stop
+        perms[start + 1:stop] = _compose_prefix(choice[start:stop - 1])[:, perms[start]]
+        if stop < k_count:
+            perms[stop] = _match_tracks(values[stop - 1, perms[stop - 1]], values[stop])
+        start = stop
     # C order: gnc's angle sums add in memory order, so the layout sets the
     # last bits of winding_float
     return np.ascontiguousarray(np.take_along_axis(values, perms, axis=1).T)
 
 
-def gnc(network: Network, omegas) -> tuple[LoopGainLoci, GncVerdict]:
+def _compose_prefix(steps: np.ndarray) -> np.ndarray:
+    """Row j of the result is steps[j] o steps[j - 1] o ... o steps[0], where
+    (p o q)[i] = p[q[i]]; a Hillis-Steele scan in log2(len(steps)) passes."""
+    out = steps.copy()
+    span = 1
+    while span < len(out):
+        out[span:] = np.take_along_axis(out[span:], out[:-span], axis=1)
+        span *= 2
+    return out
+
+
+def _loop_gain_eigenvalues(network: Network, omegas: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of L(j omega) at each omega, (K, 2N): one stacked
+    loop gain and one stacked eigenvalue solve per frequency block."""
+    return np.concatenate(parallel_map(
+        lambda rows: eigenvalues(loop_gain(network, 1j * omegas[rows])),
+        frequency_blocks(omegas.size, 2 * network.n_buses)))
+
+
+def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerdict]:
     """Generalized Nyquist verdict on a fixed positive-frequency grid.
 
+    values, when given, are the loop-gain eigenvalues (K, 2N) on omegas
+    as _loop_gain_eigenvalues gives them; they are computed when omitted.
     Raises RefineGrid when the grid is too coarse to count windings
     unambiguously; see gnc_auto for self-refining behavior.
     """
@@ -149,9 +178,11 @@ def gnc(network: Network, omegas) -> tuple[LoopGainLoci, GncVerdict]:
     if np.any(omegas <= 0) or np.any(np.diff(omegas) <= 0):
         raise ValueError("frequencies must be positive and strictly increasing")
 
-    loci = _track_loci(np.concatenate(parallel_map(
-        lambda rows: general_eigen(loop_gain(network, 1j * omegas[rows])).values,
-        frequency_blocks(omegas.size, 2 * network.n_buses))))
+    if values is None:
+        values = _loop_gain_eigenvalues(network, omegas)
+    elif np.shape(values) != (omegas.size, 2 * network.n_buses):
+        raise ValueError("values must hold the 2N loop-gain eigenvalues at each frequency")
+    loci = _track_loci(values)
 
     rel = loci - CRITICAL
     dist = np.abs(rel)
@@ -209,14 +240,29 @@ def gnc_auto(
 ) -> tuple[LoopGainLoci, GncVerdict]:
     """GNC on a log grid, doubling the density until the winding count is
     unambiguous; raises RefineGrid with the last grid's reason if the cap
-    is hit."""
+    is hit.
+
+    The grids are nested: level L has (points - 1) * 2**L + 1 points, and
+    its even points are level L - 1's grid to the bit, so each level
+    solves the loop gain only at its new odd points and keeps the
+    eigenvalues of the others.  Each level's result is gnc's on that
+    grid, to the bit.
+    """
     for level in range(max_doublings + 1):
+        omegas = log_omega_grid(f_min_hz, f_max_hz, (points - 1) * 2 ** level + 1)
+        if level == 0:
+            values = _loop_gain_eigenvalues(network, omegas)
+        else:
+            fine = np.empty((omegas.size, values.shape[1]), dtype=complex)
+            fine[::2] = values
+            fine[1::2] = _loop_gain_eigenvalues(network, omegas[1::2])
+            values = fine
         try:
-            return gnc(network, log_omega_grid(f_min_hz, f_max_hz, points * 2 ** level))
+            return gnc(network, omegas, values=values)
         except RefineGridError as exc:
             last = exc
     raise RefineGridError(f"{last} (after {max_doublings + 1} grids, "
-                          f"up to {points * 2 ** max_doublings} points)") from last
+                          f"up to {omegas.size} points)") from last
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +318,11 @@ def fd_pf(network: Network, s: complex) -> FdParticipation:
 
 def _try_det(network: Network, s: complex) -> complex | None:
     """det Y_n(s), or None where it is not evaluable (device poles make
-    det meromorphic; an exact pole hit raises deep in a model)."""
+    det meromorphic; an exact pole hit raises deep in a model, and a near
+    one can overflow an entry of Y_n)."""
     try:
         val = determinant(assemble_nodal(network, s))
-    except (ZeroDivisionError, SingularMatrixError, ValueError):
+    except (ZeroDivisionError, SingularMatrixError, NonFiniteError, ValueError):
         return None
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         return None

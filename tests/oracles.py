@@ -10,6 +10,9 @@ determinant).  The eigenlocus tracker is checked against a plain
 step-by-step loop (the package decides the greedy steps for all
 frequencies at once), and so is the mode scan (the package runs every
 seed's Muller search in lockstep, one stacked determinant per round).
+The self-refining Nyquist verdict is checked against plain doubling of
+the point count, solving every grid from scratch (the package nests its
+grids and keeps the eigenvalues of the points it has already solved).
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from fdpassivity.errors import NoConvergenceError, OutOfRegionError
-from fdpassivity.stability import UNSTABLE_RE_RTOL, ModeEstimate, ModeScan, refine_mode
+from fdpassivity.errors import NoConvergenceError, OutOfRegionError, RefineGridError
+from fdpassivity.passivity import log_omega_grid
+from fdpassivity.stability import UNSTABLE_RE_RTOL, ModeEstimate, ModeScan, gnc, refine_mode
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 I2 = np.eye(2)
@@ -266,3 +270,16 @@ def mode_scan_sequential(
                 found.append(est)
     unstable = any(m.lam.real > UNSTABLE_RE_RTOL * omega_b for m in found)
     return ModeScan(modes=tuple(found), unstable=unstable)
+
+
+def gnc_auto_doubling(network, f_min_hz: float = 1e-2, f_max_hz: float = 1e4,
+                      points: int = 800, max_doublings: int = 6):
+    """GNC on log grids of points * 2**level points, each solved from
+    scratch, until the winding count is unambiguous."""
+    for level in range(max_doublings + 1):
+        try:
+            return gnc(network, log_omega_grid(f_min_hz, f_max_hz, points * 2 ** level))
+        except RefineGridError as exc:
+            last = exc
+    raise RefineGridError(f"{last} (after {max_doublings + 1} grids, "
+                          f"up to {points * 2 ** max_doublings} points)") from last

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdpassivity import io_cli, passivity, stability
@@ -38,6 +38,7 @@ from fdpassivity.devices import (
     sample_model,
 )
 from fdpassivity.errors import (
+    NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
     NumericalFailure,
@@ -54,9 +55,15 @@ from fdpassivity.network import (
     assemble_shunts,
     nodal_passivity_sweep,
 )
-from fdpassivity.numerics import determinant, general_eigen, hermitian_eigen, inverse
+from fdpassivity.numerics import (
+    determinant,
+    eigenvalues,
+    general_eigen,
+    hermitian_eigen,
+    inverse,
+)
 from fdpassivity.passivity import frequency_blocks, log_omega_grid
-from fdpassivity.stability import _track_loci, gnc, loop_gain, mode_scan
+from fdpassivity.stability import _track_loci, gnc, loop_gain, mode_scan, refine_mode
 
 from conftest import WB, make_single_gfl, make_three_bus, random_passive_network
 from oracles import mode_scan_sequential, track_loci_sequential
@@ -220,21 +227,41 @@ def complex_normal(rng, shape):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**31), count=st.integers(1, 6), n=st.integers(1, 6),
+@given(seed=st.integers(0, 2**31), count=st.integers(1, 6), n=st.integers(1, 20),
        tie=st.booleans())
 def test_stacked_general_eigen_and_inverse_match_one_at_a_time(seed, count, n, tie):
     rng = np.random.default_rng(seed)
     a = complex_normal(rng, (count, n, n))
     if tie:  # repeated eigenvalues: the sort falls back to the original index
         a[-1] = np.diag(rng.integers(1, 3, n).astype(complex))
-    eig, inv = general_eigen(a), inverse(a)
+    eig, inv, values = general_eigen(a), inverse(a), eigenvalues(a)
     assert eig.defective.shape == (count,)
+    assert np.array_equal(values, eig.values)
     for k in range(count):
         one = general_eigen(a[k])
         for field in ("values", "right", "left"):
             assert np.array_equal(getattr(eig, field)[k], getattr(one, field)), field
         assert eig.defective[k] == one.defective
         assert np.array_equal(inv[k], inverse(a[k]))
+        assert np.array_equal(eigenvalues(a[k]), one.values)
+
+
+def test_eigenvalues_of_80x80_loop_gains_match_general_eigen_to_tolerance():
+    # without Schur vectors LAPACK may round these differently
+    net = random_passive_network(np.random.default_rng(5), 40)
+    l = loop_gain(net, 1j * 2 * math.pi * np.array([0.3, 7.0, 45.0, 700.0]))
+    assert l.shape[-1] == 80
+    ref = general_eigen(l).values
+    err = np.abs(eigenvalues(l) - ref) / np.abs(ref).max(axis=1, keepdims=True)
+    assert err.max() <= 1e-14
+
+
+@given(f_min=st.floats(1e-3, 1e3), decades=st.floats(1e-6, 8.0), n=st.integers(2, 2000))
+def test_doubled_log_grid_nests_the_coarse_grid(f_min, decades, n):
+    f_max = f_min * 10.0 ** decades
+    assume(f_max > f_min)
+    fine = log_omega_grid(f_min, f_max, 2 * n - 1)
+    assert np.array_equal(fine[::2], log_omega_grid(f_min, f_max, n))
 
 
 def test_stacked_general_eigen_flags_only_the_defective_matrix():
@@ -389,8 +416,9 @@ def test_lockstep_mode_scan_matches_sequential_on_any_grid(n_re, n_im, re_lo, re
                   n_re=n_re, n_im=n_im)
 
     def outcome(scan):
-        # a seed within about 1e-150 of s = 0 overflows the PLL's 1/s and
-        # raises NonFiniteError; both scans must raise it alike
+        # a seed within about 1e-150 of s = 0 overflows the PLL's 1/s;
+        # refine_mode steps off it as off an exact s = 0, and both scans
+        # must end alike
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return scan(net, WB, **ranges)
@@ -398,6 +426,21 @@ def test_lockstep_mode_scan_matches_sequential_on_any_grid(n_re, n_im, re_lo, re
             return type(exc), str(exc)
 
     assert outcome(mode_scan) == outcome(mode_scan_sequential)
+
+
+def test_refine_mode_steps_off_a_seed_where_y_n_overflows():
+    # Y_n has non-finite entries at 5.26e-250 (1 + j), where the PLL's k_i/s
+    # overflows: the search steps off it as off the exact s = 0, where the
+    # model's guard raises, and both seeds end alike
+    net = make_single_gfl(scr=1.3, k_p_pll=0.66)
+    ends = []
+    for s0 in (5.26e-250 + 5.26e-250j, 0j):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                ends.append(refine_mode(net, s0, WB))
+            except NoConvergenceError as exc:
+                ends.append(exc.partial)
+    assert ends[0] == ends[1]
 
 
 def test_lockstep_reruns_a_seed_on_a_model_pole_alone(monkeypatch):

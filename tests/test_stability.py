@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fdpassivity import stability
 from fdpassivity.devices import RlBranch, ShuntCapacitor, TheveninGrid
 from fdpassivity.errors import (
     NoConvergenceError,
@@ -26,8 +27,8 @@ from fdpassivity.stability import (
     xi_coefficient,
 )
 
-from conftest import WB, make_rlc_bus, make_single_gfl, scale_all
-from oracles import rlc_bus_modes
+from conftest import WB, make_rlc_bus, make_single_gfl, make_three_bus, scale_all
+from oracles import gnc_auto_doubling, rlc_bus_modes
 
 RLC = (0.05, 0.6, 0.3)
 
@@ -77,7 +78,7 @@ def test_gnc_refuses_contour_pole():
     # a lossless-C-only net side is singular at s = j*omega_b, putting a
     # loop-gain pole on the contour; no grid density can resolve the
     # winding there and the refusal must survive doubling
-    with pytest.raises(RefineGridError, match=r"after 3 grids, up to 400 points\)$"):
+    with pytest.raises(RefineGridError, match=r"after 3 grids, up to 397 points\)$"):
         gnc_auto(make_rlc_bus(*RLC), 0.01, 1e4, points=100, max_doublings=2)
 
 
@@ -104,6 +105,54 @@ def test_gnc_auto_refines_past_coarse_failure():
     assert not verdict.stable
     with pytest.raises(RefineGridError):
         gnc_auto(net, points=12, max_doublings=0)
+
+
+def gnc_outcome(run, net, **kwargs):
+    try:
+        _, verdict = run(net, **kwargs)
+    except RefineGridError:
+        return "refused"
+    return verdict.encirclements, verdict.stable
+
+
+GNC_CASES = [pytest.param(make_single_gfl, dict(scr=scr, k_p_pll=kp), {}, id=f"gfl-{scr}-{kp}")
+             for scr in (1.0, 1.3, 3.0) for kp in (0.14, 0.4, 0.66, 0.9, 1.0, 2.0)] + [
+    pytest.param(make_rlc_bus, {}, dict(points=100, max_doublings=2), id="rlc-100x3"),
+    pytest.param(make_rlc_bus, {}, {}, id="rlc-default"),
+    pytest.param(make_three_bus, {}, dict(points=400), id="three-bus-400"),
+]
+
+
+@pytest.mark.parametrize("make, params, kwargs", GNC_CASES)
+def test_nested_gnc_auto_agrees_with_plain_doubling(make, params, kwargs):
+    net = make(**params)
+    assert gnc_outcome(gnc_auto, net, **kwargs) == gnc_outcome(gnc_auto_doubling, net, **kwargs)
+
+
+@pytest.mark.parametrize("scr, k_p_pll, points", [(1.3, 0.66, 800), (1.0, 0.9, 12)])
+def test_gnc_auto_is_gnc_on_its_nested_grid_and_solves_each_frequency_once(
+        monkeypatch, scr, k_p_pll, points):
+    net = make_single_gfl(scr=scr, k_p_pll=k_p_pll)
+    solved = []
+
+    def counting_loop_gain(network, s):
+        solved.append(np.atleast_1d(s))
+        return loop_gain(network, s)
+
+    monkeypatch.setattr(stability, "loop_gain", counting_loop_gain)
+    loci, verdict = gnc_auto(net, points=points, max_doublings=8)
+    monkeypatch.undo()
+    grids = [log_omega_grid(0.01, 1e4, (points - 1) * 2 ** level + 1) for level in range(9)]
+    level = next(k for k, grid in enumerate(grids) if grid.size == loci.omegas.size)
+    assert level >= 3
+    for coarse in grids[:level]:
+        with pytest.raises(RefineGridError):
+            gnc(net, coarse)
+    ref_loci, ref_verdict = gnc(net, grids[level])
+    assert np.array_equal(loci.omegas, grids[level])
+    assert np.array_equal(loci.loci, ref_loci.loci)
+    assert verdict == ref_verdict
+    assert np.array_equal(np.sort(np.concatenate(solved).imag), grids[level])
 
 
 def test_gnc_agrees_with_mode_scan():
