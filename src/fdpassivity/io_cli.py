@@ -631,9 +631,8 @@ def run(scenario: Scenario, analysis_name: str) -> list[ResultTable]:
 
 def emit_csv(table: ResultTable, path) -> None:
     """Header plus rows at 17 significant digits."""
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    row = ",".join(["%.17g"] * len(table.columns))
+    lines = [",".join(table.columns)] + [row % tuple(r) for r in table.rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -26,8 +26,10 @@ sum exactly to the index.
 
 Assembly takes a scalar s or a 1-D array of s; an array gives the stacked
 (M, 2N, 2N) matrices, built from one stacked admittance evaluation per
-component.  The sweeps run in fixed-size frequency blocks (see
-passivity.frequency_blocks).
+component and one scatter into a zero-filled stack.  The nodal sweep
+evaluates every component admittance once per chunk of its grid
+(passivity.frequency_chunks); the chunk's blocks (frequency_blocks) only
+scatter those values into Y_n and solve.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .passivity import (
     IndexSweep,
     SensitivitySeries,
     frequency_blocks,
+    frequency_chunks,
     hermitian_part,
     is_degenerate,
     join_blocks,
@@ -88,22 +91,28 @@ class ComponentRef:
     model: DeviceModel
 
 
+def _evaluate(evaluators, s) -> np.ndarray:
+    """The admittances of the models behind evaluators (devices.combine) at
+    s, one call each, in evaluator order: (K, 2, 2), or (M, K, 2, 2)."""
+    stacks = [m.admittance(np.asarray(s)[..., None]) if combined
+              else m.admittance(s)[..., None, :, :] for m, _, combined in evaluators]
+    return np.concatenate(stacks, axis=-3) if stacks else np.zeros(np.shape(s) + (0, 2, 2), complex)
+
+
 @dataclass(frozen=True)
 class _Part:
     """Where one part of Y_n (branches, shunts or devices) goes, resolved once.
 
-    The part's models are evaluated through evaluators (devices.combine),
-    whose outputs, concatenated, stack one 2x2 admittance per slot.  Entry
-    k of the flattened 2N x 2N matrix at target[k] receives entry source[k]
-    of that stack flattened and, for series elements, followed by its
-    negative.  The entries run component by component, so each matrix
-    entry sums its contributions in component order.
+    The part's evaluators give its 2x2 admittances in evaluator order (the
+    component's slot).  Each round (target, source, op) applies op (add or
+    subtract) to entries target of the flattened 2N x 2N matrix and
+    entries source of that stack flattened.  No round repeats a target,
+    and the rounds run in the order that adds each matrix entry's
+    contributions in component order.
     """
 
     evaluators: tuple
-    target: np.ndarray
-    source: np.ndarray
-    series: bool  # source reaches into the negatives
+    rounds: tuple
 
     @classmethod
     def of(cls, n_buses: int, placed) -> "_Part":
@@ -112,19 +121,21 @@ class _Part:
         (i, j) and (j, i)."""
         evaluators = combine([m for m, _, _ in placed])
         slot = {k: n for n, k in enumerate(k for _, ks, _ in evaluators for k in ks)}
-        n, negative = 2 * n_buses, 4 * len(placed)
-        target, source = [], []
+        n, rounds, count = 2 * n_buses, {}, {}
         for k, (_, i, j) in enumerate(placed):
-            blocks = [(i, i, 0)] if j is None else [(i, i, 0), (j, j, 0), (i, j, negative),
-                                                   (j, i, negative)]
-            for row, col, offset in blocks:
+            blocks = [(i, i, np.add)] if j is None else [(i, i, np.add), (j, j, np.add),
+                                                        (i, j, np.subtract), (j, i, np.subtract)]
+            for row, col, op in blocks:
                 for p in range(2):
                     for q in range(2):
-                        target.append((2 * row + p) * n + 2 * col + q)
-                        source.append(offset + 4 * slot[k] + 2 * p + q)
-        return cls(tuple((m, combined) for m, _, combined in evaluators),
-                   np.array(target, dtype=np.intp), np.array(source, dtype=np.intp),
-                   any(j is not None for _, _, j in placed))
+                        t = (2 * row + p) * n + 2 * col + q
+                        count[t] = count.get(t, -1) + 1  # t's earlier contributions
+                        target, source = rounds.setdefault((count[t], op), ([], []))
+                        target.append(t)
+                        source.append(4 * slot[k] + 2 * p + q)
+        return cls(tuple(evaluators),
+                   tuple((np.array(t, dtype=np.intp), np.array(s, dtype=np.intp), op)
+                         for (_, op), (t, s) in rounds.items()))
 
 
 @dataclass(frozen=True)
@@ -172,12 +183,11 @@ class Network:
             names.add(dev.name)
         object.__setattr__(self, "_index", index)
         n = len(self.buses)
-        object.__setattr__(self, "_branch_part", _Part.of(
-            n, [(br.model, index[br.from_bus], index[br.to_bus]) for br in self.branches]))
-        object.__setattr__(self, "_shunt_part", _Part.of(
-            n, [(sh.model, index[sh.bus], None) for sh in self.shunts]))
-        object.__setattr__(self, "_device_part", _Part.of(
-            n, [(dev.model, index[dev.bus], None) for dev in self.devices]))
+        object.__setattr__(self, "_parts", (  # the order every Y_n entry sums in
+            _Part.of(n, [(br.model, index[br.from_bus], index[br.to_bus]) for br in self.branches]),
+            _Part.of(n, [(sh.model, index[sh.bus], None) for sh in self.shunts]),
+            _Part.of(n, [(dev.model, index[dev.bus], None) for dev in self.devices]),
+        ))
 
     @property
     def n_buses(self) -> int:
@@ -232,47 +242,48 @@ def incidence(network: Network) -> np.ndarray:
     return inc
 
 
-def _assemble(network: Network, s, part: _Part) -> np.ndarray:
-    """One part of Y_n at s: (2N, 2N), or (M, 2N, 2N) for M values of s."""
+def _assemble(network: Network, s, parts, values=None) -> np.ndarray:
+    """The sum of some parts of Y_n at s: (2N, 2N), or (M, 2N, 2N) for M
+    values of s, scattered into one zero-filled stack."""
     n = 2 * network.n_buses
-    shape = getattr(s, "shape", ())
+    shape = np.shape(s)
     y = np.zeros(shape + (n * n,), dtype=complex)
-    if part.evaluators and y.size:
-        flat = [(m.admittance(np.asarray(s)[..., None]) if combined else m.admittance(s))
-                .reshape(shape + (-1,)) for m, combined in part.evaluators]
-        yc = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
-        if part.series:
-            yc = np.concatenate([yc, -yc], axis=-1)
-        np.add.at(y.T, part.target, yc[..., part.source].T)
+    if y.size:
+        if values is None:
+            values = [_evaluate(part.evaluators, s) for part in parts]
+        for part, v in zip(parts, values, strict=True):
+            v = v.reshape(shape + (-1,)).T  # entries first: the fastest fancy indexing
+            for target, source, op in part.rounds:
+                y.T[target] = op(y.T[target], v[source])
     return y.reshape(shape + (n, n))
 
 
 def assemble_branches(network: Network, s) -> np.ndarray:
     """Series-branch part Y_e = Inc^T diag(Y_branch) Inc, assembled blockwise."""
-    return _assemble(network, s, network._branch_part)
+    return _assemble(network, s, network._parts[:1])
 
 
 def assemble_shunts(network: Network, s) -> np.ndarray:
-    return _assemble(network, s, network._shunt_part)
+    return _assemble(network, s, network._parts[1:2])
 
 
 def assemble_devices(network: Network, s) -> np.ndarray:
     """Active-device part Y_a: block diagonal over the device buses."""
-    return _assemble(network, s, network._device_part)
+    return _assemble(network, s, network._parts[2:])
 
 
 def assemble_net(network: Network, s) -> np.ndarray:
     """Passive network admittance Y_net = branches + shunts."""
-    y = assemble_branches(network, s)
-    y += assemble_shunts(network, s)
-    return y
+    return _assemble(network, s, network._parts[:2])
 
 
-def assemble_nodal(network: Network, s) -> np.ndarray:
-    """Full nodal admittance Y_n = Y_net + Y_a."""
-    y = assemble_net(network, s)
-    y += assemble_devices(network, s)
-    return y
+def assemble_nodal(network: Network, s, *, values=None) -> np.ndarray:
+    """Full nodal admittance Y_n = Y_net + Y_a.  values, when given, are the
+    branch, shunt and device stacks at s, as _evaluate gives them for each
+    of network._parts; they are evaluated when omitted."""
+    if values is not None and any(np.shape(v)[:-3] != np.shape(s) for v in values):
+        raise ValueError("values must hold each part's admittances at every s")
+    return _assemble(network, s, network._parts, values)
 
 
 def closed_loop_impedance(network: Network, s: complex) -> np.ndarray:
@@ -297,16 +308,23 @@ class NodalSpectrum(IndexSweep):
 def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
     """Nodal passivity index and minimum eigenpair over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
+    n = 2 * network.n_buses
 
-    def block(rows: slice):
-        h = hermitian_part(assemble_nodal(network, 1j * omegas[rows]))
+    def block(s, values):
+        h = hermitian_part(assemble_nodal(network, s, values=values))
         eig = hermitian_eigen(h)
         # copy the one column so the full eigenvector matrices can be freed
         return (eig.values, eig.min_vector.copy(),
                 is_degenerate(eig, np.linalg.norm(h, axis=(-2, -1))))
 
-    blocks = frequency_blocks(omegas.size, 2 * network.n_buses)
-    spectra, min_vectors, degenerate = join_blocks(parallel_map(block, blocks))
+    def chunk(rows: slice):
+        s = 1j * omegas[rows]
+        values = [_evaluate(part.evaluators, s) for part in network._parts]
+        return [block(s[b], [v[b] for v in values]) for b in frequency_blocks(s.size, n)]
+
+    count = len(network.branches) + len(network.shunts) + len(network.devices)
+    chunks = parallel_map(chunk, frequency_chunks(omegas.size, 64 * count))
+    spectra, min_vectors, degenerate = join_blocks([row for c in chunks for row in c])
     return NodalSpectrum(
         omegas=omegas,
         indices=spectra[:, 0],
@@ -325,12 +343,16 @@ def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.nda
     component sees: its bus sub-vector, or the difference of the two for a
     branch.  phi (..., 2N) and dY (..., 2, 2) may be stacks over frequency.
     """
+    return quadratic_form(_window(phi, ref), np.asarray(dy, dtype=complex))
+
+
+def _window(phi: np.ndarray, ref: ComponentRef) -> np.ndarray:
     i = 2 * ref.buses[0]
     w = phi[..., i:i + 2]
     if len(ref.buses) == 2:
         j = 2 * ref.buses[1]
         w = w - phi[..., j:j + 2]
-    return quadratic_form(w, np.asarray(dy, dtype=complex))
+    return w
 
 
 def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas) -> SensitivitySeries:
@@ -383,10 +405,12 @@ def participation_sweep(network: Network, omegas) -> ParticipationTable:
     refs = components(network)
     spec = nodal_passivity_sweep(network, omegas)
     s = 1j * spec.omegas
-    shares = np.stack([
-        directional_nodal_sensitivity(spec.min_vectors, ref, ref.model.admittance(s))
-        for ref in refs
-    ])
+    shares = np.empty((len(refs), s.size))
+    for m, positions, combined in combine([ref.model for ref in refs]):
+        for rows in frequency_chunks(s.size, 64 * len(positions)):
+            w = np.stack([_window(spec.min_vectors[rows], refs[k]) for k in positions], axis=-2)
+            y = _evaluate([(m, positions, combined)], s[rows])
+            shares[list(positions), rows] = quadratic_form(w, y).T
     shares[:, spec.degenerate] = math.nan
     return ParticipationTable(
         names=tuple(r.name for r in refs),

@@ -16,9 +16,10 @@ flagged and their derivative reported as NaN rather than trusted.
 
 Every sweep evaluates its grid in fixed-size blocks of frequencies: each
 block is one stacked admittance evaluation and one batched eigensolve,
-and parallel_map spreads the blocks over worker threads.  The block size
-depends only on the matrix order, so results are the same bits for any
-worker count.
+and parallel_map spreads the blocks over worker threads.  The nodal sweep
+maps larger chunks (frequency_chunks): each evaluates its component
+admittances once, then solves block by block.  Block and chunk sizes do
+not depend on the worker count, so results are the same bits for any.
 """
 
 from __future__ import annotations
@@ -37,15 +38,21 @@ from .numerics import HermitianEigen, hermitian_eigen
 DEGENERACY_RTOL = 1e-9
 
 # A block holds as many frequencies as fit a stacked (B, n, n) complex
-# array in this many bytes: 5 at n = 80, the whole grid for 2x2 and 6x6.
-# Larger blocks cost peak memory and save little; the size must not
-# depend on the worker count.
+# array in this many bytes: 5 at n = 80, the whole grid for 2x2 and 6x6;
+# a chunk, half of it of its own data.  Larger blocks cost peak memory and
+# save little; the sizes must not depend on the worker count.
 BLOCK_BYTES = 1 << 19
 
 
 def frequency_blocks(points: int, n: int) -> list[slice]:
     """Consecutive slices covering a grid of points for n x n matrices."""
     size = max(1, BLOCK_BYTES // (16 * n * n))
+    return [slice(k, k + size) for k in range(0, max(points, 1), size)]
+
+
+def frequency_chunks(points: int, point_bytes: int) -> list[slice]:
+    """The same for point_bytes of data a point in half of BLOCK_BYTES."""
+    size = max(1, BLOCK_BYTES // 2 // max(point_bytes, 1))
     return [slice(k, k + size) for k in range(0, max(points, 1), size)]
 
 

@@ -8,9 +8,9 @@ benchmark's reference values were computed one s at a time.  The stacked
 general eigensolver and inverse must give each matrix the bits it gets
 alone, and the GNC tracker must make the decisions the step-by-step loop
 makes.  The sweeps and GNC must not depend on how their grid is split into
-blocks or spread over worker threads.  The lockstep mode scan must return
-what refine_mode from one seed after another returns, to the bit, and
-raise what it raises.
+chunks or blocks or spread over worker threads.  The lockstep mode scan
+must return what refine_mode from one seed after another returns, to the
+bit, and raise what it raises.
 """
 
 import gc
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fdpassivity import io_cli, passivity, stability
+from fdpassivity import io_cli, network, passivity, stability
 from fdpassivity.devices import (
     GflConverterL1,
     GflParams,
@@ -53,6 +53,7 @@ from fdpassivity.network import (
     assemble_net,
     assemble_nodal,
     assemble_shunts,
+    components,
     nodal_passivity_sweep,
 )
 from fdpassivity.numerics import (
@@ -62,7 +63,13 @@ from fdpassivity.numerics import (
     hermitian_eigen,
     inverse,
 )
-from fdpassivity.passivity import frequency_blocks, log_omega_grid
+from fdpassivity.passivity import (
+    frequency_blocks,
+    frequency_chunks,
+    hermitian_part,
+    is_degenerate,
+    log_omega_grid,
+)
 from fdpassivity.stability import _track_loci, gnc, loop_gain, mode_scan, refine_mode
 
 from conftest import WB, make_single_gfl, make_three_bus, random_passive_network
@@ -200,14 +207,28 @@ def test_hermitian_eigen_checks_every_matrix_of_a_stack():
         hermitian_eigen(bad)
 
 
-def test_multi_block_nodal_sweep_same_bits_for_any_thread_count(monkeypatch):
+def converter_network_with_loads() -> Network:
     net = network_with_converters(7)
-    net = Network(buses=net.buses + tuple(f"x{k}" for k in range(10)), branches=net.branches,
-                  shunts=net.shunts, devices=net.devices
-                  + tuple(Device(f"x{k}", f"load{k}", RlBranch(0.1 + 0.01 * k, 0.5, WB))
-                          for k in range(10)))
+    return Network(buses=net.buses + tuple(f"x{k}" for k in range(10)), branches=net.branches,
+                   shunts=net.shunts, devices=net.devices
+                   + tuple(Device(f"x{k}", f"load{k}", RlBranch(0.1 + 0.01 * k, 0.5, WB))
+                           for k in range(10)))
+
+
+def small_chunks(monkeypatch, net: Network, om: np.ndarray) -> list[slice]:
+    """Blocks of 7 points, so that every chunk of the grid holds several."""
+    n = 2 * net.n_buses
+    monkeypatch.setattr(passivity, "BLOCK_BYTES", 16 * n * n * 7)
+    chunks = frequency_chunks(om.size, 64 * len(components(net)))
+    assert len(chunks) >= 3
+    assert all(len(frequency_blocks(c.stop - c.start, n)) >= 3 for c in chunks[:-1])
+    return chunks
+
+
+def test_multi_block_nodal_sweep_same_bits_for_any_thread_count(monkeypatch):
+    net = converter_network_with_loads()
     om = log_omega_grid(1.0, 2000.0, 200)
-    assert len(frequency_blocks(om.size, 2 * net.n_buses)) >= 3
+    small_chunks(monkeypatch, net, om)
     sweeps = []
     for threads in ("1", "2"):
         monkeypatch.setenv("PASSIVITY_THREADS", threads)
@@ -215,11 +236,66 @@ def test_multi_block_nodal_sweep_same_bits_for_any_thread_count(monkeypatch):
     one, two = sweeps
     for field in ("indices", "eigen_gaps", "spectra", "min_vectors", "degenerate"):
         assert np.array_equal(getattr(one, field), getattr(two, field)), field
-    # and a row does not depend on the block it was computed in
-    for k in (0, 57, 199):
-        alone = nodal_passivity_sweep(net, om[k:k + 1])
-        assert np.array_equal(alone.spectra[0], one.spectra[k])
-        assert np.array_equal(alone.min_vectors[0], one.min_vectors[k])
+    # and a row does not depend on the chunk or block it was computed in
+    for k, w in enumerate(om):
+        h = hermitian_part(assemble_nodal(net, 1j * w))
+        eig = hermitian_eigen(h)
+        assert np.array_equal(eig.values, one.spectra[k])
+        assert np.array_equal(eig.min_vector, one.min_vectors[k])
+        assert is_degenerate(eig, np.linalg.norm(h)) == one.degenerate[k]
+
+
+def test_nodal_sweep_evaluates_admittances_once_per_chunk(monkeypatch):
+    net = converter_network_with_loads()
+    om = log_omega_grid(1.0, 2000.0, 200)
+    chunks = small_chunks(monkeypatch, net, om)
+    monkeypatch.setenv("PASSIVITY_THREADS", "1")
+    evaluated, assembled = [], []
+    for cls in {type(ref.model) for ref in components(net)}:
+        monkeypatch.setattr(cls, "admittance", lambda self, s, f=cls.admittance:
+                            evaluated.append(np.size(s)) or f(self, s))
+    assemble_nodal(net, 1j)
+    per_s = len(evaluated)  # admittance calls per assembly
+    evaluated.clear()
+    assemble = network.assemble_nodal
+    monkeypatch.setattr(network, "assemble_nodal", lambda net_, s, **kw:
+                        assembled.append(np.size(s)) or assemble(net_, s, **kw))
+    nodal_passivity_sweep(net, om)
+    sizes = [len(range(om.size)[c]) for c in chunks]
+    assert evaluated == [m for m in sizes for _ in range(per_s)]
+    # each block still assembles through assemble_nodal
+    assert assembled == [len(range(m)[b]) for m in sizes
+                         for b in frequency_blocks(m, 2 * net.n_buses)]
+
+
+def test_assemble_nodal_takes_or_rejects_evaluated_values():
+    net = make_three_bus()
+    s = 1j * 2 * math.pi * np.array([5.0, 50.0, 500.0])
+    values = [network._evaluate(part.evaluators, s) for part in net._parts]
+    assert np.array_equal(assemble_nodal(net, s, values=values), assemble_nodal(net, s))
+    for bad in (values[:2], [v[:2] for v in values]):
+        with pytest.raises(ValueError):
+            assemble_nodal(net, s, values=bad)
+
+
+def test_nodal_sweep_memory_stays_within_a_block_of_its_output(monkeypatch):
+    monkeypatch.setenv("PASSIVITY_THREADS", "1")
+    net = random_passive_network(np.random.default_rng(3), 40)
+    om = log_omega_grid(1.0, 2000.0, 200)
+    assert len(frequency_chunks(om.size, 64 * len(components(net)))) >= 3
+    tracemalloc.start()
+    try:
+        spec = nodal_passivity_sweep(net, om)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = spec.spectra.nbytes + spec.min_vectors.nbytes + spec.degenerate.nbytes
+    # the rows, once per block and once joined, plus the chunk's admittances
+    # and one block's working set: its Y_n and H stacks, their temporaries
+    # and eigenvectors.  A chunk's whole Y_n stack alone would take 8
+    # BLOCK_BYTES, and keeping a finished block's arrays through the next
+    # one about 2 more.
+    assert peak < 2 * out + 4 * passivity.BLOCK_BYTES
 
 
 def complex_normal(rng, shape):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdpassivity
 from fdpassivity.devices import blackbox_model, write_blackbox_table
@@ -306,6 +308,19 @@ def test_csv_roundtrip_empty_table(tmp_path):
     back = read_result_csv(path)
     assert back.rows.shape == (0, 2)
     assert back.columns == ("freq_hz", "re_lambda")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=6))
+@example(rows=[[math.nan, -math.nan, math.inf], [-math.inf, -0.0, 0.0],
+               [5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308],
+               [1.7976931348623157e308, -1e-300, 0.1], [1e16, 123456789.0, -1.0]])
+def test_csv_values_match_17_significant_digit_format(tmp_path_factory, rows):
+    table = ResultTable("t", ("a", "b", "c"), np.array(rows, dtype=float).reshape(-1, 3))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    emit_csv(table, path)
+    lines = ["a,b,c"] + [",".join(f"{v:.17g}" for v in row) for row in table.rows]
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_svg_line_plot_structure(tmp_path):
