@@ -10,7 +10,6 @@ regardless of the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
@@ -27,5 +26,8 @@ def parallel_map(fn, items):
     n = worker_count()
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: concurrent.futures (and logging with it) costs ~5 ms of start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

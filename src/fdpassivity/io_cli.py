@@ -16,12 +16,16 @@ data only and are byte-identical across runs and thread counts.
 
 SVG emission is deliberately dependency-free: log-frequency line charts
 with one path per column, and equal-aspect Nyquist planes with (-1, 0)
-marked.
+marked.  Each series is mapped to the plot as one array, and each finite
+run of it is formatted with one format string.  The line chart still takes
+math.log10 one value at a time: np.log10 can differ from it in the last
+bit, which can turn a 0.01 px digit of the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -696,19 +700,15 @@ def _text(x, y, text, size, fill="#333", anchor=None, extra="") -> str:
 
 
 def _series_path(color, xs, ys, sx, sy) -> str:
-    """One series; samples that map to no finite point split the path."""
-    parts = []
-    pen_down = False
-    for x, y in zip(xs, ys):
-        px = sx(x) if math.isfinite(x) else math.nan
-        py = sy(y) if math.isfinite(y) else math.nan
-        if not (math.isfinite(px) and math.isfinite(py)):
-            pen_down = False
-            continue
-        parts.append(f"{'L' if pen_down else 'M'}{px:.2f} {py:.2f}")
-        pen_down = True
+    """One series; samples that map to no finite point split the path.
+    sx and sy map whole arrays."""
+    with np.errstate(all="ignore"):  # a sample mapped to inf or NaN is a gap
+        pts = np.column_stack((sx(xs), sy(ys)))
+    edges = np.flatnonzero(np.diff(np.isfinite(pts).all(axis=1), prepend=False, append=False))
+    runs = [("M%.2f %.2f" + " L%.2f %.2f" * (b - a - 1)) % tuple(pts[a:b].ravel().tolist())
+            for a, b in zip(edges[::2], edges[1::2])]
     return (f'<path class="series" fill="none" stroke="{color}" '
-            f'stroke-width="1.5" d="{" ".join(parts)}"/>')
+            f'stroke-width="1.5" d="{" ".join(runs)}"/>')
 
 
 def _collect(tables, pairs, empty: str) -> list:
@@ -756,8 +756,8 @@ def _line_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
     pad = 0.05 * (y1v - y0v)
     y0v, y1v = y0v - pad, y1v + pad
 
-    def sx(x):
-        return _ML + (math.log10(x) - lx0) / (lx1 - lx0) * (_W - _ML - _MR)
+    def sx(lx):  # lx: log10 of the frequency
+        return _ML + (lx - lx0) / (lx1 - lx0) * (_W - _ML - _MR)
 
     def sy(y):
         return (_H - _MB) - (y - y0v) / (y1v - y0v) * (_H - _MT - _MB)
@@ -765,7 +765,7 @@ def _line_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
     out = []
     # decade gridlines and x tick labels
     for k in range(math.ceil(lx0 - 1e-9), math.floor(lx1 + 1e-9) + 1):
-        gx = sx(10.0 ** k)
+        gx = sx(math.log10(10.0 ** k))
         out.append(_line(gx, _MT, gx, _H - _MB, "#ddd", 1))
         out.append(_text(gx, _H - _MB + 18, _fmt(10.0 ** k), 11, anchor="middle"))
     # y ticks
@@ -782,7 +782,8 @@ def _line_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
     for k, (label, x, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         # a non-positive frequency has no place on the log axis
-        out.append(_series_path(color, np.where(x > 0, x, np.nan), y, sx, sy))
+        lx = np.array([math.log10(v) if v > 0 else math.nan for v in x.tolist()])
+        out.append(_series_path(color, lx, y, sx, sy))
         ly = _MT + 16 + 14 * k
         out.append(_line(_W - _MR - 150, ly - 4, _W - _MR - 130, ly - 4, color, 2))
         out.append(_text(_W - _MR - 124, ly, label, 11))
@@ -878,7 +879,9 @@ def _plot_spec_for(table: ResultTable, scenario: Scenario) -> PlotSpec | None:
     return None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="fdpassivity",
         description="Frequency-domain passivity and stability analysis "
@@ -890,7 +893,11 @@ def main(argv=None) -> int:
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", required=True, help="directory for result files")
         p.add_argument("--svg", action="store_true", help="also emit SVG plots")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         # bench/tracing.py wraps load_scenario, run, emit_csv and emit_svg_plot

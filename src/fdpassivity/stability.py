@@ -260,7 +260,10 @@ def gnc_auto(
         try:
             return gnc(network, omegas, values=values)
         except RefineGridError as exc:
-            last = exc
+            # kept without its traceback: that holds this frame and its
+            # callers', a cycle that would keep their arrays alive until the
+            # cyclic collector runs, also after a later level succeeds
+            last = exc.with_traceback(None)
     raise RefineGridError(f"{last} (after {max_doublings + 1} grids, "
                           f"up to {omegas.size} points)") from last
 

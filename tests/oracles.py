@@ -13,6 +13,8 @@ seed's Muller search in lockstep, one stacked determinant per round).
 The self-refining Nyquist verdict is checked against plain doubling of
 the point count, solving every grid from scratch (the package nests its
 grids and keeps the eigenvalues of the points it has already solved).
+The SVG series paths are checked against a per-sample loop (the package
+maps and formats each series as arrays).
 """
 
 from __future__ import annotations
@@ -283,3 +285,20 @@ def gnc_auto_doubling(network, f_min_hz: float = 1e-2, f_max_hz: float = 1e4,
             last = exc
     raise RefineGridError(f"{last} (after {max_doublings + 1} grids, "
                           f"up to {points * 2 ** max_doublings} points)") from last
+
+
+def series_path_pointwise(color, xs, ys, sx, sy) -> str:
+    """An SVG series path built one sample at a time: sx and sy map one
+    value, and every finite point is formatted on its own."""
+    parts = []
+    pen_down = False
+    for x, y in zip(xs, ys):
+        px = sx(x) if math.isfinite(x) else math.nan
+        py = sy(y) if math.isfinite(y) else math.nan
+        if not (math.isfinite(px) and math.isfinite(py)):
+            pen_down = False
+            continue
+        parts.append(f"{'L' if pen_down else 'M'}{px:.2f} {py:.2f}")
+        pen_down = True
+    return (f'<path class="series" fill="none" stroke="{color}" '
+            f'stroke-width="1.5" d="{" ".join(parts)}"/>')

@@ -1,9 +1,11 @@
-"""scipy stays off the import path.
+"""scipy and the thread pool stay off the import path.
 
 The package imports scipy only inside stability._match_tracks, on the
 first GNC tracking step whose greedy eigenvalue match collides.  Every
-other analysis runs on numpy alone.  The tests here run in fresh
-interpreters: in this process tests/oracles.py has already imported scipy.
+other analysis runs on numpy alone.  concurrent.futures, and logging with
+it, is imported only when a sweep first maps over blocks on more than one
+thread.  The tests here run in fresh interpreters: in this process
+tests/oracles.py has already imported scipy.
 """
 
 import json
@@ -17,17 +19,18 @@ import fdpassivity
 TESTS = Path(__file__).resolve().parent
 SRC = Path(fdpassivity.__file__).resolve().parent.parent
 
-REPORT_SCIPY = """
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+REPORT = """
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in {roots!r})))
 """
 
 
-def run_fresh(code: str) -> list[str]:
+def run_fresh(code: str, roots=("scipy",)) -> list[str]:
     """Run code in a new interpreter with src and tests on the path; the
-    scipy modules it has loaded when it ends."""
+    modules under the given top-level packages it has loaded when it ends."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), str(TESTS)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + REPORT_SCIPY],
+    report = REPORT.format(roots=tuple(roots))
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + report],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -67,3 +70,13 @@ from oracles import track_loci_sequential
 assert np.array_equal(loci, track_loci_sequential(list(values)))
 """
     assert "scipy.optimize" in run_fresh(code)
+
+
+def test_loading_scenarios_leaves_the_thread_pool_unloaded():
+    code = """
+from fdpassivity import io_cli
+
+for fixture in ("single_gfl.json", "three_bus.json"):
+    io_cli.load_scenario(io_cli.fixture_path(fixture))
+"""
+    assert run_fresh(code, ("concurrent", "logging")) == []

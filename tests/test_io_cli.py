@@ -8,13 +8,15 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fdpassivity
+from fdpassivity import io_cli
 from fdpassivity.devices import blackbox_model, write_blackbox_table
 from fdpassivity.errors import ScenarioParseError, ScenarioValidationError
 from fdpassivity.io_cli import (
@@ -32,6 +34,8 @@ from fdpassivity.io_cli import (
 from fdpassivity.network import nodal_param_sensitivity, nodal_passivity_sweep, participation_sweep
 from fdpassivity.passivity import first_order_prediction, index_sweep
 from fdpassivity.stability import fd_pf, gnc_auto, mode_scan
+
+from oracles import series_path_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -544,20 +548,55 @@ def _svg_cases():
                        f, 0.5 * np.cos(theta), [0.2, -0.4, nan, 0.1, 0.3, -0.2, 0.0],
                        -2.0 + np.sin(theta), 0.3 * theta)
     far = _svg_table("far", ("freq_hz", "re_l", "im_l"), f, 4.0 + theta, 1.0 + theta)
+    inf = math.inf
+    # a finite sample between two gaps is a run with an M and no L
+    lone = _svg_table("lone", ("freq_hz", "index", "gain"), f,
+                      [nan, 0.4, nan, -0.2, 0.1, nan, 0.3], [0.5, nan, nan, nan, nan, nan, nan])
+    nonpositive = _svg_table("nonpositive", ("freq_hz", "index"), f - 3.0,
+                             np.linspace(-1.0, 2.0, f.size))
+    infinite = _svg_table("infinite", ("freq_hz", "index", "gain"),
+                          np.array([1.0, 3.0, 10.0, inf, 100.0, 300.0, 1000.0]),
+                          [0.1, inf, 0.3, 0.2, -inf, 0.5, -0.1], [inf, 1.0, 2.0, 1.5, 0.5, 0.7, -inf])
+    empty = _svg_table("empty", ("freq_hz", "index"), f, np.full(f.size, nan))
+    locus_inf = _svg_table("loci", ("freq_hz", "re_locus_1", "im_locus_1"), f,
+                           [inf, 0.2, nan, -0.4, 0.1, -inf, 0.3],
+                           [0.1, -0.3, 0.2, 0.5, inf, 0.0, -0.2])
+    locus_empty = _svg_table("loci", ("freq_hz", "re_locus_1", "im_locus_1", "re_locus_2",
+                                      "im_locus_2"),
+                             f, np.full(f.size, nan), np.full(f.size, nan),
+                             0.5 * np.cos(theta), 0.3 * theta)
+    # the middle sample maps to x = 300.005 px through math.log10, while
+    # np.log10 of it is an ulp off on AVX-512 builds and gives 300.0050000000001
+    log_edge = _svg_table("log_edge", ("freq_hz", "index"),
+                          [1.0, 1.5009268625895287, 4.0403218650391475], [0.0, 1.0, 2.0])
     return {
+        "line_log_edge": ([log_edge], PlotSpec(kind="line")),
         "line_gap": ([gap], PlotSpec(kind="line", title="gap & zero <line>", y_label="index")),
         "line_two": ([flat, shifted], PlotSpec(kind="line", title="two tables")),
         "line_flat": ([flat], PlotSpec(kind="line")),
+        "line_lone": ([lone], PlotSpec(kind="line")),
+        "line_nonpositive": ([nonpositive], PlotSpec(kind="line")),
+        "line_infinite": ([infinite], PlotSpec(kind="line")),
+        "line_all_nan": ([empty], PlotSpec(kind="line")),
         "nyquist_gap": ([locus], PlotSpec(kind="nyquist", title="loci")),
         "nyquist_two": ([locus, far], PlotSpec(kind="nyquist")),
+        "nyquist_infinite": ([locus_inf], PlotSpec(kind="nyquist")),
+        "nyquist_all_nan": ([locus_empty], PlotSpec(kind="nyquist")),
     }
 
 
 SVG_SHA256 = {
+    "line_all_nan": "20870ef78edae8f89e6207283469108faee8a01dff3e271184b48d0e3ddd13b8",
     "line_flat": "55d8d87ccef515b8d8606741748bfb03b8859c878e2aeba3414f4cb07fce0477",
     "line_gap": "c761f8762edd17122bde1edf045b482cffe21ccb8f1d4e76b5b3953ea16ff550",
+    "line_infinite": "9bf80f8c0d22b8c07c5075bb21ac00f34243cfac2ab93d3be15f4d99fb27faa6",
+    "line_lone": "94ec7da2a7fdddc102910e45f4c6248eeba0600ceaa7a1efb81d66f745e2c9bb",
+    "line_log_edge": "1540f658cfeb474e328a04e561f34fbf4d38dec8031c83c645dc165d80d7d84b",
+    "line_nonpositive": "dc590e2f1ceaea8077e29b1796634cdc1bafe02f134c364e6d620fc3f61feac5",
     "line_two": "239f54612febd232f6de168ff18c5df635e8d9d5a62a62272e5173ce30972b6e",
+    "nyquist_all_nan": "1f819c58c44dfc8862608210b4b0724e47d1af948c52c5b2ace841c55199d156",
     "nyquist_gap": "41c964de2e52854d3810acb5846698bd48cc0d9ec80ad5510c22cd62e46ab06b",
+    "nyquist_infinite": "e6e30eae28ea5f64212fce1fd831443d21ab93727e813177ee2b98835cbfc762",
     "nyquist_two": "d255ddd7c503a65c3f41c95468fd4c0b8f3bea8e4900075f45cdcf5bfc9392b3",
 }
 
@@ -568,6 +607,213 @@ def test_svg_bytes_are_pinned(tmp_path, case):
     path = tmp_path / f"{case}.svg"
     emit_svg_plot(tables, spec, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SVG_SHA256[case]
+
+
+# --- the array series renderer against the per-sample loop --------------------
+
+def _render_both(tables, spec):
+    """A plot's SVG lines as rendered, and with every series path built by
+    the per-sample oracle instead."""
+    plot = io_cli._nyquist_plot if spec.kind == "nyquist" else io_cli._line_plot
+    arrays = plot(tables, spec)
+    with mock.patch.object(io_cli, "_series_path", series_path_pointwise):
+        return arrays, plot(tables, spec)
+
+
+def _samples(values, n):
+    return st.lists(values, min_size=n, max_size=n)
+
+
+# values within 1e-12 of a .xx5 edge, where a %.2f digit turns
+_EDGES = st.builds(lambda k, eps: k / 100.0 + 0.005 + eps,
+                   st.integers(-100_000, 100_000), st.floats(-1e-12, 1e-12))
+_VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                    st.floats(-1e6, 1e6), _EDGES)
+_FREQS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]),
+                   st.floats(1e-3, 1e6))
+
+
+@st.composite
+def _columns(draw, x_values, n_series):
+    """An x column and n_series value columns of one random length."""
+    n = draw(st.integers(1, 12))
+    return draw(_samples(x_values, n)), draw(st.lists(_samples(_VALUES, n),
+                                                      min_size=n_series, max_size=n_series))
+
+
+def _lone_runs(n):
+    """A series of n samples whose finite samples all stand alone."""
+    return [0.5 if k % 2 else math.nan for k in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=_columns(_FREQS, 3))
+@example(cols=([-1.0, 0.0, 1.0, math.inf, 10.0], [[math.nan] * 5, _lone_runs(5), [0.3] * 5]))
+@example(cols=([1.0, 2.0, 4.0], [[math.inf, 0.2, -math.inf], [math.nan, 0.1, math.nan],
+                                 [1.005, 2.015, 0.125]]))
+def test_line_plot_paths_match_pointwise_oracle(cols):
+    freqs, series = cols
+    assume(any(math.isfinite(f) and f > 0 for f in freqs))
+    table = ResultTable("t", ("freq_hz", "a", "b", "c"), np.column_stack([freqs, *series]))
+    arrays, pointwise = _render_both([table], PlotSpec(kind="line"))
+    assert arrays == pointwise
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=_columns(_VALUES, 4))
+@example(cols=([0.0] * 5, [[math.nan] * 5, [0.1] * 5, _lone_runs(5), [math.inf, 1, 2, 3, -math.inf]]))
+def test_nyquist_plot_paths_match_pointwise_oracle(cols):
+    freqs, (re_1, im_1, re_2, im_2) = cols
+    table = ResultTable("t", ("freq_hz", "re_l1", "im_l1", "re_l2", "im_l2"),
+                        np.column_stack([freqs, re_1, im_1, re_2, im_2]))
+    arrays, pointwise = _render_both([table], PlotSpec(kind="nyquist"))
+    assert arrays == pointwise
+
+
+# an identity map formats the drawn values themselves, so the .xx5 edges
+# reach the format step; the affine maps have the plots' shapes
+_MAPS = {
+    "identity": lambda v: v,
+    "line_x": lambda v: 72 + (v - 0.25) / 3.5 * 784,
+    "line_y": lambda v: 466 - (v - -1.5) / 4.0 * 420,
+    "nyquist_x": lambda v: 238.0 + (v - (0.5 - 6.25 / 2.0)) / 6.25 * 420.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+@settings(max_examples=100, deadline=None)
+@given(cols=_columns(_VALUES, 1))
+def test_series_path_matches_pointwise_oracle(name, cols):
+    xs, (ys,) = cols
+    xs, ys = np.array(xs), np.array(ys)
+    m = _MAPS[name]
+    assert io_cli._series_path("#000", xs, ys, m, m) == series_path_pointwise("#000", xs, ys, m, m)
+
+
+def _bench_inputs():
+    """bench/inputs.py, loaded read-only: the benchmark's scenario generators."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs_readonly", Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_fixture_and_ladder_plots_match_pointwise_oracle(tmp_path):
+    inputs = _bench_inputs()
+    ladder = tmp_path / "ladder.json"
+    inputs.write_scenario(ladder, inputs.ladder_scenario(1, 40))
+    runs = [(load_scenario(fixture_path(name)), None) for name in ("single_gfl.json",
+                                                                  "three_bus.json")]
+    runs.append((load_scenario(ladder), "participation"))
+    plotted = []
+    for scenario, only in runs:
+        for analysis in [only] if only else scenario.analyses:
+            for table in run(scenario, analysis):
+                spec = io_cli._plot_spec_for(table, scenario)
+                if spec is not None:
+                    arrays, pointwise = _render_both([table], spec)
+                    assert arrays == pointwise, (scenario.name, table.name)
+                    plotted.append(table.rows.shape)
+    # the 14 SVGs the fixtures' analyses write, and the ladder's 102-series table
+    assert len(plotted) == 15 and plotted[-1] == (400, 103)
+
+
+# --- parsing with the process's one parser ------------------------------------
+
+MAIN_HELP = """\
+usage: fdpassivity [-h] ANALYSIS ...
+
+Frequency-domain passivity and stability analysis for converter-dominated
+power systems.
+
+positional arguments:
+  ANALYSIS
+    device-passivity
+                    run the device-passivity analysis declared in the scenario
+    device-sens     run the device-sens analysis declared in the scenario
+    nodal-passivity
+                    run the nodal-passivity analysis declared in the scenario
+    nodal-sens      run the nodal-sens analysis declared in the scenario
+    participation   run the participation analysis declared in the scenario
+    gnc             run the gnc analysis declared in the scenario
+    fdpf            run the fdpf analysis declared in the scenario
+    modes           run the modes analysis declared in the scenario
+
+options:
+  -h, --help        show this help message and exit
+"""
+
+NODAL_SENS_HELP = """\
+usage: fdpassivity nodal-sens [-h] --scenario SCENARIO --out OUT [--svg]
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO  path to a scenario JSON file
+  --out OUT            directory for result files
+  --svg                also emit SVG plots
+"""
+
+USAGE_ERRORS = {
+    "missing_scenario": (["gnc", "--out", "o"], """\
+usage: fdpassivity gnc [-h] --scenario SCENARIO --out OUT [--svg]
+fdpassivity gnc: error: the following arguments are required: --scenario
+"""),
+    "unknown_analysis": (["bogus", "--scenario", "a", "--out", "b"], """\
+usage: fdpassivity [-h] ANALYSIS ...
+fdpassivity: error: argument ANALYSIS: invalid choice: 'bogus' (choose from \
+'device-passivity', 'device-sens', 'nodal-passivity', 'nodal-sens', 'participation', 'gnc', \
+'fdpf', 'modes')
+"""),
+}
+
+
+def _exit_of(argv, capsys):
+    """(exit code, stdout, stderr) of a main call that argparse ends."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return (info.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv,expected", [(["--help"], MAIN_HELP),
+                                           (["nodal-sens", "--help"], NODAL_SENS_HELP)])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    io_cli._parser.cache_clear()
+    for _ in range(2):  # a new parser, then the cached one
+        assert _exit_of(argv, capsys) == (0, expected, "")
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2_before_and_after_a_run(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    io_cli._parser.cache_clear()
+    argv, expected = USAGE_ERRORS[case]
+    assert _exit_of(argv, capsys) == (2, "", expected)
+    assert main(["device-passivity", "--scenario", str(fixture_path("single_gfl.json")),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _exit_of(argv, capsys) == (2, "", expected)
+
+
+def test_back_to_back_runs_write_what_each_writes_alone(tmp_path, capsys):
+    scenario = str(fixture_path("single_gfl.json"))
+    runs = [("gnc", "--svg"), ("device-passivity",)]
+
+    def written(analysis, *flags, out):
+        assert main([analysis, "--scenario", scenario, "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    alone = []
+    for argv in runs:
+        io_cli._parser.cache_clear()  # as in a new process
+        alone.append(written(*argv, out=tmp_path / "alone" / argv[0]))
+    io_cli._parser.cache_clear()
+    together = [written(*argv, out=tmp_path / "together" / argv[0]) for argv in runs]
+    assert together == alone
+    assert sorted(alone[1]) == ["device_passivity_GFL-1.csv"]  # no SVG left over from gnc
+    assert io_cli._parser.cache_info().misses == 1
 
 
 def test_module_entry_point_runs_without_warning(tmp_path):
@@ -673,11 +919,7 @@ def test_negative_rl_parameter_exits_2_and_writes_nothing(tmp_path, capsys):
 
 
 def test_loader_accepts_the_benchmark_scenarios(tmp_path):
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "bench_inputs_readonly", Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = _bench_inputs()
     for k, doc in enumerate([inputs.ladder_scenario(1), inputs.single_gfl_scenario(1.3, 0.66)]):
         path = tmp_path / f"b{k}.json"
         inputs.write_scenario(path, doc)

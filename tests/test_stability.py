@@ -1,5 +1,6 @@
 """Loop-gain Nyquist verdicts, mode refinement, and modal sensitivities."""
 
+import gc
 import math
 
 import numpy as np
@@ -105,6 +106,20 @@ def test_gnc_auto_refines_past_coarse_failure():
     assert not verdict.stable
     with pytest.raises(RefineGridError):
         gnc_auto(net, points=12, max_doublings=0)
+
+
+def test_gnc_auto_leaves_no_reference_cycles():
+    # the refusals of the coarse levels are kept for the final error; with
+    # their tracebacks they would tie gnc_auto's frame and its callers' into
+    # a cycle that outlives the call
+    net = make_single_gfl(scr=1.0, k_p_pll=0.9)
+    gc.collect()
+    gc.disable()
+    try:
+        gnc_auto(net, points=12, max_doublings=8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def gnc_outcome(run, net, **kwargs):
