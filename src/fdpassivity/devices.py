@@ -143,21 +143,6 @@ def rl_impedance(r: float, x: float, s, omega_b: float) -> np.ndarray:
     return _mat2(a, -x, x, a)
 
 
-def rl_branch_admittance(r: float, x: float, s, omega_b: float) -> np.ndarray:
-    """Admittance of a series RL element; inverse of rl_impedance."""
-    return RlBranch(r, x, omega_b).admittance(s)
-
-
-def shunt_c_admittance(b: float, s, omega_b: float) -> np.ndarray:
-    """Admittance of a shunt capacitor with susceptance b (pu)."""
-    return ShuntCapacitor(b, omega_b).admittance(s)
-
-
-def thevenin_grid(scr: float, xr_ratio: float, s, omega_b: float) -> np.ndarray:
-    """Thevenin grid admittance from short-circuit ratio and X/R ratio."""
-    return TheveninGrid(scr, xr_ratio, omega_b).admittance(s)
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """Steady-state terminal quantities used by the converter linearizations.
@@ -521,16 +506,10 @@ class BlackBoxModel(DeviceModel):
         return np.where((s.imag < 0)[..., None, None], y.conj(), y)
 
 
-def blackbox_model(freqs_hz, ydata) -> BlackBoxModel:
-    """Build a black-box device from a frequency-response table in memory."""
-    return BlackBoxModel(freqs_hz=np.asarray(freqs_hz, dtype=float),
-                         ydata=np.asarray(ydata, dtype=complex))
-
-
 def sample_model(model: DeviceModel, freqs_hz) -> BlackBoxModel:
     """Tabulate any model on a frequency grid as a black-box device."""
     freqs_hz = np.asarray(freqs_hz, dtype=float)
-    return blackbox_model(freqs_hz, model.admittance(1j * 2.0 * math.pi * freqs_hz))
+    return BlackBoxModel(freqs_hz, model.admittance(1j * 2.0 * math.pi * freqs_hz))
 
 
 def read_blackbox_table(path) -> BlackBoxModel:
@@ -564,7 +543,7 @@ def read_blackbox_table(path) -> BlackBoxModel:
         raise MalformedTableError(f"{path}: table needs at least 2 rows")
     data = np.asarray(rows, dtype=float)
     ydata = (data[:, 0::2] + 1j * data[:, 1::2]).reshape(-1, 2, 2)
-    return blackbox_model(np.asarray(freqs), ydata)
+    return BlackBoxModel(freqs, ydata)
 
 
 def write_blackbox_table(path, model: DeviceModel, freqs_hz) -> None:

@@ -40,7 +40,7 @@ class NoConvergenceError(NumericalFailure):
 
 
 class SingularMatrixError(NumericalFailure):
-    """Inverse or solve requested on a (numerically) singular matrix."""
+    """Inverse requested of a (numerically) singular matrix."""
 
 
 # --- devices --------------------------------------------------------------

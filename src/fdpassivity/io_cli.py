@@ -256,6 +256,31 @@ def _build_grid(doc, violations) -> np.ndarray | None:
     return passivity.log_omega_grid(f_min, f_max, points)
 
 
+def _distinct_ends(values, seen):
+    return "endpoints must differ" if values[0] is not None and values[0] == values[1] else None
+
+
+def _unique(position, message):
+    """Rule: the value at position, when it parsed, is in no earlier entry
+    of the section; message formats the repeated value."""
+    def rule(values, seen):
+        value = values[position]
+        repeated = value is not None and value in seen
+        seen.add(value)
+        return message.format(value) if repeated else None
+    return rule
+
+
+# section -> (its string keys, in message order; the rule across its
+#   entries, (values of the keys, values of earlier entries) -> violation or
+#   None; its network class, made from the values and then the model)
+_SECTIONS = {
+    "branches": (("from", "to"), _distinct_ends, net.Branch),
+    "shunts": (("bus",), _unique(0, "more than one shunt at bus {!r}; merge them"), net.Shunt),
+    "devices": (("bus", "name"), _unique(1, "duplicate device name {!r}"), net.Device),
+}
+
+
 def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file.
 
@@ -305,59 +330,24 @@ def load_scenario(path) -> Scenario:
         violations.append("buses: names must be unique")
 
     bus_set = set(buses)
-
-    def check_bus(owner_ctx, bus):
-        if bus is not None and bus_set and bus not in bus_set:
-            violations.append(f"{owner_ctx}: unknown bus {bus!r}")
-
-    branches = []
-    for k, item in enumerate(doc.get("branches", []) or []):
-        ctx = f"branches[{k}]"
-        if not isinstance(item, dict):
-            violations.append(f"{ctx}: expected an object")
-            continue
-        from_bus = _str(item, "from", ctx, violations)
-        to_bus = _str(item, "to", ctx, violations)
-        check_bus(ctx, from_bus)
-        check_bus(ctx, to_bus)
-        if from_bus is not None and from_bus == to_bus:
-            violations.append(f"{ctx}: endpoints must differ")
-        model = _build_model(item, ctx, ("from", "to"), omega_b, p.parent, violations)
-        if None not in (from_bus, to_bus, model) and from_bus != to_bus:
-            branches.append(net.Branch(from_bus=from_bus, to_bus=to_bus, model=model))
-
-    shunts = []
-    shunt_buses = set()
-    for k, item in enumerate(doc.get("shunts", []) or []):
-        ctx = f"shunts[{k}]"
-        if not isinstance(item, dict):
-            violations.append(f"{ctx}: expected an object")
-            continue
-        bus = _str(item, "bus", ctx, violations)
-        check_bus(ctx, bus)
-        if bus in shunt_buses:
-            violations.append(f"{ctx}: more than one shunt at bus {bus!r}; merge them")
-        shunt_buses.add(bus)
-        model = _build_model(item, ctx, ("bus",), omega_b, p.parent, violations)
-        if bus is not None and model is not None and bus in bus_set:
-            shunts.append(net.Shunt(bus=bus, model=model))
-
-    devices = []
-    device_names = set()
-    for k, item in enumerate(doc.get("devices", []) or []):
-        ctx = f"devices[{k}]"
-        if not isinstance(item, dict):
-            violations.append(f"{ctx}: expected an object")
-            continue
-        bus = _str(item, "bus", ctx, violations)
-        dev_name = _str(item, "name", ctx, violations)
-        check_bus(ctx, bus)
-        if dev_name in device_names:
-            violations.append(f"{ctx}: duplicate device name {dev_name!r}")
-        device_names.add(dev_name)
-        model = _build_model(item, ctx, ("bus", "name"), omega_b, p.parent, violations)
-        if None not in (bus, dev_name, model) and bus in bus_set:
-            devices.append(net.Device(bus=bus, name=dev_name, model=model))
+    found = {}  # section -> (values, model) of each entry
+    for section, (keys, rule, _) in _SECTIONS.items():
+        found[section], seen = [], set()
+        for k, item in enumerate(doc.get(section, []) or []):
+            ctx = f"{section}[{k}]"
+            if not isinstance(item, dict):
+                violations.append(f"{ctx}: expected an object")
+                continue
+            values = [_str(item, key, ctx, violations) for key in keys]
+            for key, value in zip(keys, values):
+                # every key but a device's name names a bus
+                if key != "name" and value is not None and bus_set and value not in bus_set:
+                    violations.append(f"{ctx}: unknown bus {value!r}")
+            problem = rule(values, seen)
+            if problem:
+                violations.append(f"{ctx}: {problem}")
+            model = _build_model(item, ctx, keys, omega_b, p.parent, violations)
+            found[section].append((*values, model))
 
     standalone = doc.get("standalone_stable", False)
     if not isinstance(standalone, bool):
@@ -367,8 +357,9 @@ def load_scenario(path) -> Scenario:
     network = None
     if not violations:
         try:
-            network = net.Network(buses=tuple(buses), branches=tuple(branches),
-                                  shunts=tuple(shunts), devices=tuple(devices))
+            network = net.Network(buses=tuple(buses), **{
+                section: tuple(cls(*entry) for entry in found[section])
+                for section, (_, _, cls) in _SECTIONS.items()})
         except (ValidationFailure, ValueError) as exc:
             violations.append(f"network: {exc}")
 
@@ -666,8 +657,6 @@ class PlotSpec:
 
     kind: str = "line"  # "line" | "nyquist"
     title: str = ""
-    x_label: str = "frequency (Hz)"
-    y_label: str = ""
 
 
 def _esc(text: str) -> str:
@@ -693,10 +682,10 @@ def _rect(x, y, width, height) -> str:
             f'fill="none" stroke="#444" stroke-width="1"/>')
 
 
-def _text(x, y, text, size, fill="#333", anchor=None, extra="") -> str:
+def _text(x, y, text, size, fill="#333", anchor=None) -> str:
     anchor = f' text-anchor="{anchor}"' if anchor else ""
     return (f'<text x="{_px(x)}" y="{_px(y)}"{anchor} font-family="sans-serif" '
-            f'font-size="{size}" fill="{fill}"{extra}>{_esc(text)}</text>')
+            f'font-size="{size}" fill="{fill}">{_esc(text)}</text>')
 
 
 def _series_path(color, xs, ys, sx, sy) -> str:
@@ -711,44 +700,18 @@ def _series_path(color, xs, ys, sx, sy) -> str:
             f'stroke-width="1.5" d="{" ".join(runs)}"/>')
 
 
-def _collect(tables, pairs, empty: str) -> list:
-    """(label, x, y) for every series pairs(table) yields; a label names its
-    table when several tables share the plot."""
-    series = [(f"{t.name}:{label}" if len(tables) > 1 else label, x, y)
-              for t in tables for label, x, y in pairs(t)]
-    if not series:
-        raise ValueError(empty)
-    return series
-
-
-def _svg_header(title: str) -> list[str]:
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
-    if title:
-        out.append(_text(_W // 2, 24, title, 15, "#111", "middle"))
-    return out
-
-
-def _line_pairs(t: ResultTable):
-    for c in range(1, len(t.columns)):
-        yield t.columns[c], t.rows[:, 0], t.rows[:, c]
-
-
-def _line_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
-    series = _collect(tables, _line_pairs, "nothing to plot")
-
-    all_x = np.concatenate([x for _, x, _ in series])
-    all_x = all_x[np.isfinite(all_x) & (all_x > 0)]
+def _line_plot(table: ResultTable) -> list[str]:
+    if len(table.columns) < 2:
+        raise ValueError("nothing to plot")
+    x = table.rows[:, 0]
+    all_x = x[np.isfinite(x) & (x > 0)]
     if all_x.size == 0:
         raise ValueError("log-frequency plot needs positive x values")
     lx0, lx1 = math.log10(all_x.min()), math.log10(all_x.max())
     if lx1 - lx0 < 1e-12:
         lx0, lx1 = lx0 - 0.5, lx1 + 0.5
 
-    all_y = np.concatenate([y for _, _, y in series])
+    all_y = table.rows[:, 1:]
     all_y = all_y[np.isfinite(all_y)]
     y0v, y1v = (float(all_y.min()), float(all_y.max())) if all_y.size else (0.0, 1.0)
     if y1v - y0v < 1e-300:
@@ -779,32 +742,25 @@ def _line_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
         out.append(_line(_ML, gy, _W - _MR, gy, "#999", 1, ' stroke-dasharray="4 3"'))
     out.append(_rect(_ML, _MT, _W - _MR - _ML, _H - _MB - _MT))
 
-    for k, (label, x, y) in enumerate(series):
+    # a non-positive frequency has no place on the log axis
+    lx = np.array([math.log10(v) if v > 0 else math.nan for v in x.tolist()])
+    for k, label in enumerate(table.columns[1:]):
         color = _PALETTE[k % len(_PALETTE)]
-        # a non-positive frequency has no place on the log axis
-        lx = np.array([math.log10(v) if v > 0 else math.nan for v in x.tolist()])
-        out.append(_series_path(color, lx, y, sx, sy))
+        out.append(_series_path(color, lx, table.rows[:, k + 1], sx, sy))
         ly = _MT + 16 + 14 * k
         out.append(_line(_W - _MR - 150, ly - 4, _W - _MR - 130, ly - 4, color, 2))
         out.append(_text(_W - _MR - 124, ly, label, 11))
 
-    out.append(_text((_ML + _W - _MR) // 2, _H - 14, spec.x_label, 12, "#111", "middle"))
-    if spec.y_label:
-        yc = (_MT + _H - _MB) // 2
-        out.append(_text(16, yc, spec.y_label, 12, "#111", "middle",
-                         f' transform="rotate(-90 16 {yc})"'))
+    out.append(_text((_ML + _W - _MR) // 2, _H - 14, "frequency (Hz)", 12, "#111", "middle"))
     return out
 
 
-def _nyquist_pairs(t: ResultTable):
-    cols = t.columns
-    for c in range(len(cols) - 1):
-        if cols[c].startswith("re_") and cols[c + 1] == "im_" + cols[c][3:]:
-            yield cols[c][3:], t.rows[:, c], t.rows[:, c + 1]
-
-
-def _nyquist_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
-    series = _collect(tables, _nyquist_pairs, "nyquist plot needs re_*/im_* column pairs")
+def _nyquist_plot(table: ResultTable) -> list[str]:
+    cols = table.columns
+    series = [(cols[c][3:], table.rows[:, c], table.rows[:, c + 1]) for c in range(len(cols) - 1)
+              if cols[c].startswith("re_") and cols[c + 1] == "im_" + cols[c][3:]]
+    if not series:
+        raise ValueError("nyquist plot needs re_*/im_* column pairs")
 
     xs = np.concatenate([x for _, x, _ in series])
     ys = np.concatenate([y for _, _, y in series])
@@ -850,12 +806,15 @@ def _nyquist_plot(tables: list[ResultTable], spec: PlotSpec) -> list[str]:
     return out
 
 
-def emit_svg_plot(tables, spec: PlotSpec, path) -> None:
-    """Render one or more tables to a standalone SVG 1.1 file."""
-    if isinstance(tables, ResultTable):
-        tables = [tables]
+def emit_svg_plot(table: ResultTable, spec: PlotSpec, path) -> None:
+    """Render a table to a standalone SVG 1.1 file."""
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+           f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    if spec.title:
+        out.append(_text(_W // 2, 24, spec.title, 15, "#111", "middle"))
     plot = _nyquist_plot if spec.kind == "nyquist" else _line_plot
-    out = _svg_header(spec.title) + plot(list(tables), spec) + ["</svg>"]
+    out += plot(table) + ["</svg>"]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

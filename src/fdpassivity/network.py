@@ -42,7 +42,8 @@ import numpy as np
 from ._parallel import parallel_map
 from .devices import DeviceModel, combine, param_derivative
 from .errors import UnknownBusError, UnknownComponentError
-from .numerics import hermitian_eigen, inverse
+# inverse is unused here, but bench/tracing.py hooks network.inverse
+from .numerics import hermitian_eigen, inverse  # noqa: F401
 from .passivity import (
     IndexSweep,
     SensitivitySeries,
@@ -258,15 +259,6 @@ def _assemble(network: Network, s, parts, values=None) -> np.ndarray:
     return y.reshape(shape + (n, n))
 
 
-def assemble_branches(network: Network, s) -> np.ndarray:
-    """Series-branch part Y_e = Inc^T diag(Y_branch) Inc, assembled blockwise."""
-    return _assemble(network, s, network._parts[:1])
-
-
-def assemble_shunts(network: Network, s) -> np.ndarray:
-    return _assemble(network, s, network._parts[1:2])
-
-
 def assemble_devices(network: Network, s) -> np.ndarray:
     """Active-device part Y_a: block diagonal over the device buses."""
     return _assemble(network, s, network._parts[2:])
@@ -284,11 +276,6 @@ def assemble_nodal(network: Network, s, *, values=None) -> np.ndarray:
     if values is not None and any(np.shape(v)[:-3] != np.shape(s) for v in values):
         raise ValueError("values must hold each part's admittances at every s")
     return _assemble(network, s, network._parts, values)
-
-
-def closed_loop_impedance(network: Network, s: complex) -> np.ndarray:
-    """Z_cl = Y_n^-1; raises SingularMatrixError at a system mode."""
-    return inverse(assemble_nodal(network, s))
 
 
 @dataclass(frozen=True)

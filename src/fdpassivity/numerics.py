@@ -2,8 +2,8 @@
 
 Thin, contract-enforcing layer over LAPACK (via numpy): Hermitian and
 general eigendecomposition, general eigenvalues alone, determinant,
-adjugate, trace, inverse and linear solve, all at desk scale (matrices up
-to a few hundred rows).  The eigensolvers, the determinant and the
+adjugate, trace and inverse, all at desk scale (matrices up to a few
+hundred rows).  The eigensolvers, the determinant and the
 inverse also take a stack (..., n, n) of matrices; they check every
 matrix of it and give each the bits it gets alone.
 
@@ -28,7 +28,7 @@ from .errors import (
 # Relative symmetry tolerance for the Hermitian path.
 HERMITIAN_RTOL = 1e-9
 # Condition-number gates.
-COND_LIMIT = 1e14        # inverse / solve refuse beyond this
+COND_LIMIT = 1e14        # inverse refuses beyond this
 DEFECTIVE_COND = 1e12    # general eigenvector matrix flagged beyond this
 # Cofactor expansion up to this size; LU column replacement above.
 _ADJUGATE_COFACTOR_MAX = 8
@@ -246,15 +246,3 @@ def inverse(a) -> np.ndarray:
             f"matrix is singular to working precision (cond > {COND_LIMIT:.0e})"
         )
     return np.linalg.inv(a)
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve A x = b; raises SingularMatrixError when cond exceeds COND_LIMIT."""
-    a = _as_square(a, "solve")
-    _check_finite(a, "solve")
-    b = np.asarray(b, dtype=complex)
-    if _cond_or_inf(a) > COND_LIMIT:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (cond > {COND_LIMIT:.0e})"
-        )
-    return np.linalg.solve(a, b)

@@ -73,16 +73,6 @@ def quadratic_form(w: np.ndarray, dy: np.ndarray):
     return (w.conj()[..., None, :] @ hermitian_part(dy) @ w[..., :, None])[..., 0, 0].real[()]
 
 
-def passivity_eigen(y: np.ndarray) -> HermitianEigen:
-    """Full eigendecomposition of the Hermitian part of an admittance."""
-    return hermitian_eigen(hermitian_part(y))
-
-
-def passivity_index(y: np.ndarray) -> float:
-    """Minimum eigenvalue of Y + Y^dagger; >= 0 iff passive there."""
-    return passivity_eigen(y).min_value
-
-
 def is_degenerate(eig: HermitianEigen, h_norm):
     """Whether the minimum eigenvalue is not simple; h_norm is ||H||_F,
     one per matrix for a stack."""
@@ -160,7 +150,7 @@ def index_sweep(model: DeviceModel, omegas) -> IndexSweep:
     omegas = np.asarray(omegas, dtype=float)
 
     def block(rows: slice):
-        eig = passivity_eigen(model.admittance(1j * omegas[rows]))
+        eig = hermitian_eigen(hermitian_part(model.admittance(1j * omegas[rows])))
         return eig.min_value, eig.eigen_gap
 
     idx, gap = join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2)))

@@ -48,11 +48,9 @@ from fdpassivity.errors import (
 from fdpassivity.network import (
     Device,
     Network,
-    assemble_branches,
     assemble_devices,
     assemble_net,
     assemble_nodal,
-    assemble_shunts,
     components,
     nodal_passivity_sweep,
 )
@@ -414,8 +412,7 @@ def test_gnc_calls_loop_gain_once_per_block(monkeypatch):
     assert sizes == [100] * 8
 
 
-@pytest.mark.parametrize("assemble", [assemble_branches, assemble_shunts, assemble_devices,
-                                      assemble_net, assemble_nodal, loop_gain])
+@pytest.mark.parametrize("assemble", [assemble_devices, assemble_net, assemble_nodal, loop_gain])
 def test_empty_stack_gives_empty_stack(assemble):
     net = make_three_bus()
     assert assemble(net, np.array([], dtype=complex)).shape == (0, 6, 6)

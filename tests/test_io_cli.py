@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fdpassivity
 from fdpassivity import io_cli
-from fdpassivity.devices import blackbox_model, write_blackbox_table
+from fdpassivity.devices import BlackBoxModel, write_blackbox_table
 from fdpassivity.errors import ScenarioParseError, ScenarioValidationError
 from fdpassivity.io_cli import (
     ANALYSES,
@@ -291,7 +291,7 @@ def test_blackbox_device_in_scenario(tmp_path, single_gfl_scenario):
     scn = load_scenario(write_scenario(tmp_path, doc))
     (table,) = run(scn, "device-passivity")
     ydata = np.array([model.admittance(1j * 2 * math.pi * f) for f in grid])
-    direct = index_sweep(blackbox_model(grid, ydata), scn.omegas)
+    direct = index_sweep(BlackBoxModel(grid, ydata), scn.omegas)
     assert np.array_equal(table.rows[:, 1], direct.indices)
 
 
@@ -470,6 +470,12 @@ def _malformed(part):
         doc["devices"].append({"bus": "b1", "name": "load", "kind": "rl",
                                "params": {"r": 0.2, "x": 0.4}})
         doc["standalone_stable"] = "yes"
+    elif part == "missing":
+        # a key missing from two entries is no repeated value
+        doc["shunts"] = [{"kind": "shunt_c", "params": {"b": 0.2}},
+                         {"kind": "shunt_c", "params": {"b": 0.1}}]
+        doc["devices"] = [{"bus": "b1", "kind": "rl", "params": {"r": 0.1, "x": 0.5}},
+                          {"bus": "b1", "kind": "rl", "params": {"r": 0.2, "x": 0.4}}]
     else:
         doc["analyses"] = {"device-passivity": {"device": "ghost"},
                            "device-sens": {"device": "load", "param": "q", "delta_pct": 0},
@@ -512,6 +518,12 @@ EXPECTED_VIOLATIONS = {
         "devices[1]: duplicate device name 'load'",
         "standalone_stable: expected true or false",
     ],
+    "missing": [
+        "shunts[0]: missing required field 'bus'",
+        "shunts[1]: missing required field 'bus'",
+        "devices[0]: missing required field 'name'",
+        "devices[1]: missing required field 'name'",
+    ],
     "options": [
         "analyses.device-passivity.device: expected one of ['load'], got 'ghost'",
         "analyses.device-sens.param: expected one of ['r', 'x'], got 'q'",
@@ -542,12 +554,14 @@ def _svg_cases():
     gap = _svg_table("gap", ("freq_hz", "index", "gain"), f,
                      [0.8, 0.1, -0.3, nan, -0.05, 0.2, 0.6], np.log10(f))
     flat = _svg_table("flat", ("freq_hz", "level"), f, np.full(f.size, 2.5))
-    shifted = _svg_table("shifted", ("freq_hz", "index"), f * 2.0, np.linspace(-1.0, 3.0, f.size))
     theta = np.linspace(0.0, 3.0, f.size)
-    locus = _svg_table("loci", ("freq_hz", "re_locus_1", "im_locus_1", "re_locus_2", "im_locus_2"),
-                       f, 0.5 * np.cos(theta), [0.2, -0.4, nan, 0.1, 0.3, -0.2, 0.0],
-                       -2.0 + np.sin(theta), 0.3 * theta)
-    far = _svg_table("far", ("freq_hz", "re_l", "im_l"), f, 4.0 + theta, 1.0 + theta)
+    loci = ("freq_hz", "re_locus_1", "im_locus_1", "re_locus_2", "im_locus_2")
+    loci_values = (f, 0.5 * np.cos(theta), [0.2, -0.4, nan, 0.1, 0.3, -0.2, 0.0],
+                   -2.0 + np.sin(theta), 0.3 * theta)
+    locus = _svg_table("loci", loci, *loci_values)
+    # the loci and a far locus as one table: the plane spans both
+    loci_and_far = _svg_table("loci", loci + ("re_l", "im_l"), *loci_values, 4.0 + theta,
+                              1.0 + theta)
     inf = math.inf
     # a finite sample between two gaps is a run with an M and no L
     lone = _svg_table("lone", ("freq_hz", "index", "gain"), f,
@@ -570,54 +584,52 @@ def _svg_cases():
     log_edge = _svg_table("log_edge", ("freq_hz", "index"),
                           [1.0, 1.5009268625895287, 4.0403218650391475], [0.0, 1.0, 2.0])
     return {
-        "line_log_edge": ([log_edge], PlotSpec(kind="line")),
-        "line_gap": ([gap], PlotSpec(kind="line", title="gap & zero <line>", y_label="index")),
-        "line_two": ([flat, shifted], PlotSpec(kind="line", title="two tables")),
-        "line_flat": ([flat], PlotSpec(kind="line")),
-        "line_lone": ([lone], PlotSpec(kind="line")),
-        "line_nonpositive": ([nonpositive], PlotSpec(kind="line")),
-        "line_infinite": ([infinite], PlotSpec(kind="line")),
-        "line_all_nan": ([empty], PlotSpec(kind="line")),
-        "nyquist_gap": ([locus], PlotSpec(kind="nyquist", title="loci")),
-        "nyquist_two": ([locus, far], PlotSpec(kind="nyquist")),
-        "nyquist_infinite": ([locus_inf], PlotSpec(kind="nyquist")),
-        "nyquist_all_nan": ([locus_empty], PlotSpec(kind="nyquist")),
+        "line_log_edge": (log_edge, PlotSpec(kind="line")),
+        "line_gap": (gap, PlotSpec(kind="line", title="gap & zero <line>")),
+        "line_flat": (flat, PlotSpec(kind="line")),
+        "line_lone": (lone, PlotSpec(kind="line")),
+        "line_nonpositive": (nonpositive, PlotSpec(kind="line")),
+        "line_infinite": (infinite, PlotSpec(kind="line")),
+        "line_all_nan": (empty, PlotSpec(kind="line")),
+        "nyquist_gap": (locus, PlotSpec(kind="nyquist", title="loci")),
+        "nyquist_two": (loci_and_far, PlotSpec(kind="nyquist")),
+        "nyquist_infinite": (locus_inf, PlotSpec(kind="nyquist")),
+        "nyquist_all_nan": (locus_empty, PlotSpec(kind="nyquist")),
     }
 
 
 SVG_SHA256 = {
     "line_all_nan": "20870ef78edae8f89e6207283469108faee8a01dff3e271184b48d0e3ddd13b8",
     "line_flat": "55d8d87ccef515b8d8606741748bfb03b8859c878e2aeba3414f4cb07fce0477",
-    "line_gap": "c761f8762edd17122bde1edf045b482cffe21ccb8f1d4e76b5b3953ea16ff550",
+    "line_gap": "5d2151b9494ed9b5332a87a52fa66e2304126430c7715d9e3eeb6b3b4ea5b3d9",
     "line_infinite": "9bf80f8c0d22b8c07c5075bb21ac00f34243cfac2ab93d3be15f4d99fb27faa6",
     "line_lone": "94ec7da2a7fdddc102910e45f4c6248eeba0600ceaa7a1efb81d66f745e2c9bb",
     "line_log_edge": "1540f658cfeb474e328a04e561f34fbf4d38dec8031c83c645dc165d80d7d84b",
     "line_nonpositive": "dc590e2f1ceaea8077e29b1796634cdc1bafe02f134c364e6d620fc3f61feac5",
-    "line_two": "239f54612febd232f6de168ff18c5df635e8d9d5a62a62272e5173ce30972b6e",
     "nyquist_all_nan": "1f819c58c44dfc8862608210b4b0724e47d1af948c52c5b2ace841c55199d156",
     "nyquist_gap": "41c964de2e52854d3810acb5846698bd48cc0d9ec80ad5510c22cd62e46ab06b",
     "nyquist_infinite": "e6e30eae28ea5f64212fce1fd831443d21ab93727e813177ee2b98835cbfc762",
-    "nyquist_two": "d255ddd7c503a65c3f41c95468fd4c0b8f3bea8e4900075f45cdcf5bfc9392b3",
+    "nyquist_two": "fbf4a9c827b8f2e2fb4d7f491832de96e5236386420ceeef54e8f84671ded793",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_svg_cases()))
 def test_svg_bytes_are_pinned(tmp_path, case):
-    tables, spec = _svg_cases()[case]
+    table, spec = _svg_cases()[case]
     path = tmp_path / f"{case}.svg"
-    emit_svg_plot(tables, spec, path)
+    emit_svg_plot(table, spec, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SVG_SHA256[case]
 
 
 # --- the array series renderer against the per-sample loop --------------------
 
-def _render_both(tables, spec):
+def _render_both(table, spec):
     """A plot's SVG lines as rendered, and with every series path built by
     the per-sample oracle instead."""
     plot = io_cli._nyquist_plot if spec.kind == "nyquist" else io_cli._line_plot
-    arrays = plot(tables, spec)
+    arrays = plot(table)
     with mock.patch.object(io_cli, "_series_path", series_path_pointwise):
-        return arrays, plot(tables, spec)
+        return arrays, plot(table)
 
 
 def _samples(values, n):
@@ -655,7 +667,7 @@ def test_line_plot_paths_match_pointwise_oracle(cols):
     freqs, series = cols
     assume(any(math.isfinite(f) and f > 0 for f in freqs))
     table = ResultTable("t", ("freq_hz", "a", "b", "c"), np.column_stack([freqs, *series]))
-    arrays, pointwise = _render_both([table], PlotSpec(kind="line"))
+    arrays, pointwise = _render_both(table, PlotSpec(kind="line"))
     assert arrays == pointwise
 
 
@@ -666,7 +678,7 @@ def test_nyquist_plot_paths_match_pointwise_oracle(cols):
     freqs, (re_1, im_1, re_2, im_2) = cols
     table = ResultTable("t", ("freq_hz", "re_l1", "im_l1", "re_l2", "im_l2"),
                         np.column_stack([freqs, re_1, im_1, re_2, im_2]))
-    arrays, pointwise = _render_both([table], PlotSpec(kind="nyquist"))
+    arrays, pointwise = _render_both(table, PlotSpec(kind="nyquist"))
     assert arrays == pointwise
 
 
@@ -713,7 +725,7 @@ def test_fixture_and_ladder_plots_match_pointwise_oracle(tmp_path):
             for table in run(scenario, analysis):
                 spec = io_cli._plot_spec_for(table, scenario)
                 if spec is not None:
-                    arrays, pointwise = _render_both([table], spec)
+                    arrays, pointwise = _render_both(table, spec)
                     assert arrays == pointwise, (scenario.name, table.name)
                     plotted.append(table.rows.shape)
     # the 14 SVGs the fixtures' analyses write, and the ladder's 102-series table
