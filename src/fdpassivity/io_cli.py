@@ -333,7 +333,11 @@ def load_scenario(path) -> Scenario:
     found = {}  # section -> (values, model) of each entry
     for section, (keys, rule, _) in _SECTIONS.items():
         found[section], seen = [], set()
-        for k, item in enumerate(doc.get(section, []) or []):
+        entries = doc.get(section, [])
+        if not isinstance(entries, list):
+            violations.append(f"{section}: expected a list")
+            entries = []
+        for k, item in enumerate(entries):
             ctx = f"{section}[{k}]"
             if not isinstance(item, dict):
                 violations.append(f"{ctx}: expected an object")
@@ -476,7 +480,7 @@ def _run_device_sens(sc: Scenario, opts, freqs):
 
 
 def _run_nodal_passivity(sc: Scenario, opts, freqs):
-    sweep = net.nodal_passivity_sweep(sc.network, sc.omegas)
+    sweep = net.nodal_index_sweep(sc.network, sc.omegas)
     columns = ["freq_hz", "nodal_index"]
     series = [freqs, sweep.indices]
     for dev in sc.network.devices:

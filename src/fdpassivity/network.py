@@ -26,10 +26,12 @@ sum exactly to the index.
 
 Assembly takes a scalar s or a 1-D array of s; an array gives the stacked
 (M, 2N, 2N) matrices, built from one stacked admittance evaluation per
-component and one scatter into a zero-filled stack.  The nodal sweep
-evaluates every component admittance once per chunk of its grid
-(passivity.frequency_chunks); the chunk's blocks (frequency_blocks) only
-scatter those values into Y_n and solve.
+component and one scatter into a zero-filled stack.  The nodal sweeps
+evaluate every component admittance once per chunk of their grid
+(passivity.frequency_chunks); the chunk's blocks only scatter those values
+into Y_n and solve.  nodal_passivity_sweep solves eigenpairs, for the
+sensitivities and participations; nodal_index_sweep solves eigenvalues
+alone, in blocks large enough for the solves to overlap (_index_blocks).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from ._parallel import parallel_map
 from .devices import DeviceModel, combine, param_derivative
 from .errors import UnknownBusError, UnknownComponentError
 # inverse is unused here, but bench/tracing.py hooks network.inverse
-from .numerics import hermitian_eigen, inverse  # noqa: F401
+from .numerics import hermitian_eigen, hermitian_eigenvalues, inverse  # noqa: F401
 from .passivity import (
     IndexSweep,
     SensitivitySeries,
@@ -292,26 +294,60 @@ class NodalSpectrum(IndexSweep):
     degenerate: np.ndarray   # (M,) bool
 
 
+# numpy (2.4) releases the GIL around a stacked eigvalsh only when rows x n
+# exceeds this many elements, so index blocks hold at least
+# EIGVALSH_GIL_ELEMENTS // n + 1 rows: 7 at n = 80.  On 400 random 80x80
+# Hermitian matrices with one BLAS thread, blocks of 5 or 6 took 0.29-0.35 s
+# on 1 worker and 0.32-0.52 s on 2, blocks of 7 or more 0.16-0.18 s on 2;
+# at n = 20 the switch lies between 25 and 26 rows.  eigh overlaps at any
+# block size, so the eigenpair sweep keeps frequency_blocks.
+EIGVALSH_GIL_ELEMENTS = 500
+
+
+def _index_blocks(points: int, n: int) -> list[slice]:
+    """frequency_blocks, or, where those hold fewer rows than eigvalsh
+    needs to release the GIL, that many rows or more: the grid split
+    evenly into as many blocks as fit the floor (one if it does not)."""
+    floor = EIGVALSH_GIL_ELEMENTS // n + 1
+    blocks = frequency_blocks(points, n)
+    if blocks[0].stop - blocks[0].start >= floor:
+        return blocks
+    count = max(1, points // floor)
+    return [slice(k * points // count, (k + 1) * points // count) for k in range(count)]
+
+
+def _sweep_blocks(network: Network, omegas: np.ndarray, solve, blocks) -> tuple[np.ndarray, ...]:
+    """solve(H) on every block of H_n = Y_n + Y_n^dagger over omegas, its
+    per-block tuples of arrays joined field by field.
+
+    Each chunk of the grid (frequency_chunks) evaluates every component
+    admittance once; blocks(points, n) splits the chunk, and each block
+    only scatters those values into Y_n and solves.
+    """
+    n = 2 * network.n_buses
+
+    def chunk(rows: slice):
+        s = 1j * omegas[rows]
+        values = [_evaluate(part.evaluators, s) for part in network._parts]
+        return [solve(hermitian_part(assemble_nodal(network, s[b], values=[v[b] for v in values])))
+                for b in blocks(s.size, n)]
+
+    count = len(network.branches) + len(network.shunts) + len(network.devices)
+    chunks = parallel_map(chunk, frequency_chunks(omegas.size, 64 * count))
+    return join_blocks([row for c in chunks for row in c])
+
+
 def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
     """Nodal passivity index and minimum eigenpair over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
-    n = 2 * network.n_buses
 
-    def block(s, values):
-        h = hermitian_part(assemble_nodal(network, s, values=values))
+    def solve(h):
         eig = hermitian_eigen(h)
         # copy the one column so the full eigenvector matrices can be freed
         return (eig.values, eig.min_vector.copy(),
                 is_degenerate(eig, np.linalg.norm(h, axis=(-2, -1))))
 
-    def chunk(rows: slice):
-        s = 1j * omegas[rows]
-        values = [_evaluate(part.evaluators, s) for part in network._parts]
-        return [block(s[b], [v[b] for v in values]) for b in frequency_blocks(s.size, n)]
-
-    count = len(network.branches) + len(network.shunts) + len(network.devices)
-    chunks = parallel_map(chunk, frequency_chunks(omegas.size, 64 * count))
-    spectra, min_vectors, degenerate = join_blocks([row for c in chunks for row in c])
+    spectra, min_vectors, degenerate = _sweep_blocks(network, omegas, solve, frequency_blocks)
     return NodalSpectrum(
         omegas=omegas,
         indices=spectra[:, 0],
@@ -320,6 +356,20 @@ def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
         min_vectors=min_vectors,
         degenerate=degenerate,
     )
+
+
+def nodal_index_sweep(network: Network, omegas) -> IndexSweep:
+    """Nodal passivity index and gap over a frequency grid, from the
+    eigenvalues alone: nodal_passivity_sweep's to within 1e-14 of each
+    point's max|lambda|."""
+    omegas = np.asarray(omegas, dtype=float)
+
+    def solve(h):
+        values = hermitian_eigenvalues(h)
+        return values[:, 0], values[:, 1] - values[:, 0]
+
+    indices, gaps = _sweep_blocks(network, omegas, solve, _index_blocks)
+    return IndexSweep(omegas=omegas, indices=indices, eigen_gaps=gaps)
 
 
 def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.ndarray):

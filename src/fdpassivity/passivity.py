@@ -64,7 +64,9 @@ def join_blocks(rows) -> tuple[np.ndarray, ...]:
 def hermitian_part(y: np.ndarray) -> np.ndarray:
     """H = Y + Y^dagger (note: not halved), for one matrix or a stack."""
     y = np.asarray(y, dtype=complex)
-    return y + np.swapaxes(y.conj(), -1, -2)
+    h = np.conj(np.swapaxes(y, -1, -2), order="C")
+    h += y  # Y + Y^dagger to the bit (addition commutes), with no temporary
+    return h
 
 
 def quadratic_form(w: np.ndarray, dy: np.ndarray):

@@ -52,6 +52,7 @@ from fdpassivity.network import (
     assemble_net,
     assemble_nodal,
     components,
+    nodal_index_sweep,
     nodal_passivity_sweep,
 )
 from fdpassivity.numerics import (
@@ -59,6 +60,7 @@ from fdpassivity.numerics import (
     eigenvalues,
     general_eigen,
     hermitian_eigen,
+    hermitian_eigenvalues,
     inverse,
 )
 from fdpassivity.passivity import (
@@ -294,6 +296,67 @@ def test_nodal_sweep_memory_stays_within_a_block_of_its_output(monkeypatch):
     # BLOCK_BYTES, and keeping a finished block's arrays through the next
     # one about 2 more.
     assert peak < 2 * out + 4 * passivity.BLOCK_BYTES
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory) -> io_cli.Scenario:
+    """The benchmark's seeded 40-bus ladder: 80x80 matrices, 400 points."""
+    inputs = load_bench_inputs()
+    path = tmp_path_factory.mktemp("ladder") / "ladder.json"
+    inputs.write_scenario(path, inputs.ladder_scenario(inputs.DEFAULT_SEED))
+    return io_cli.load_scenario(path)
+
+
+@pytest.mark.parametrize("name", ["single_gfl", "three_bus", "ladder"])
+def test_index_sweep_matches_eigenpair_sweep_to_roundoff(request, name):
+    if name == "ladder":
+        sc = request.getfixturevalue("ladder")
+    else:
+        sc = io_cli.load_scenario(io_cli.fixture_path(f"{name}.json"))
+    sweep = nodal_index_sweep(sc.network, sc.omegas)
+    spec = nodal_passivity_sweep(sc.network, sc.omegas)
+    assert np.array_equal(sweep.omegas, spec.omegas)
+    tol = 1e-14 * np.abs(spec.spectra).max(axis=1)
+    assert np.all(np.abs(sweep.indices - spec.indices) <= tol)
+    assert np.all(np.abs(sweep.eigen_gaps - spec.eigen_gaps) <= tol)
+
+
+def test_multi_block_index_sweep_same_bits_for_any_thread_count(monkeypatch):
+    net = converter_network_with_loads()
+    om = log_omega_grid(1.0, 2000.0, 200)
+    small_chunks(monkeypatch, net, om)  # below the index block floor at n = 32
+    sweeps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PASSIVITY_THREADS", threads)
+        sweeps.append(nodal_index_sweep(net, om))
+    one, two = sweeps
+    assert np.array_equal(one.indices, two.indices)
+    assert np.array_equal(one.eigen_gaps, two.eigen_gaps)
+    # and a row does not depend on the chunk or block it was computed in
+    for k, w in enumerate(om):
+        values = hermitian_eigenvalues(hermitian_part(assemble_nodal(net, 1j * w)))
+        assert one.indices[k] == values[0]
+        assert one.eigen_gaps[k] == values[1] - values[0]
+
+
+def test_index_blocks_hold_enough_rows_to_release_the_gil(monkeypatch, ladder):
+    monkeypatch.setenv("PASSIVITY_THREADS", "1")
+    rows = []
+    solve = network.hermitian_eigenvalues
+    monkeypatch.setattr(network, "hermitian_eigenvalues",
+                        lambda h: rows.append(h.shape) or solve(h))
+    nodal_index_sweep(ladder.network, ladder.omegas)
+    assert {shape[1:] for shape in rows} == {(80, 80)}
+    assert sum(shape[0] for shape in rows) == ladder.omegas.size
+    assert min(shape[0] for shape in rows) >= 7  # 500 // 80 + 1
+    for points in (0, 1, 5, 6, 7, 13, 40, 41, 400):
+        sizes = [len(range(points)[b]) for b in network._index_blocks(points, 80)]
+        assert sum(sizes) == points
+        assert min(sizes) >= min(points, 7)
+    # where frequency_blocks already hold enough rows, they are kept
+    for n in (2, 6, 12, 20):
+        for points in (0, 1, 25, 26, 81, 100, 400):
+            assert network._index_blocks(points, n) == frequency_blocks(points, n)
 
 
 def complex_normal(rng, shape):

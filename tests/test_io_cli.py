@@ -31,7 +31,12 @@ from fdpassivity.io_cli import (
     read_result_csv,
     run,
 )
-from fdpassivity.network import nodal_param_sensitivity, nodal_passivity_sweep, participation_sweep
+from fdpassivity.network import (
+    nodal_index_sweep,
+    nodal_param_sensitivity,
+    nodal_passivity_sweep,
+    participation_sweep,
+)
 from fdpassivity.passivity import first_order_prediction, index_sweep
 from fdpassivity.stability import fd_pf, gnc_auto, mode_scan
 
@@ -205,8 +210,12 @@ def test_run_nodal_passivity_includes_standalone_columns(three_bus_scenario):
     (table,) = run(three_bus_scenario, "nodal-passivity")
     assert table.columns == ("freq_hz", "nodal_index",
                              "index_GFM-1", "index_GFM-2", "index_GFL-1")
-    sweep = nodal_passivity_sweep(three_bus_scenario.network, three_bus_scenario.omegas)
+    sweep = nodal_index_sweep(three_bus_scenario.network, three_bus_scenario.omegas)
     assert np.array_equal(table.rows[:, 1], sweep.indices)
+    # the eigenvalues-only index is the eigenpair sweep's up to roundoff
+    spec = nodal_passivity_sweep(three_bus_scenario.network, three_bus_scenario.omegas)
+    tol = 1e-14 * np.abs(spec.spectra).max(axis=1)
+    assert np.all(np.abs(table.rows[:, 1] - spec.indices) <= tol)
     gfm1 = index_sweep(three_bus_scenario.network.devices[0].model, three_bus_scenario.omegas)
     assert np.array_equal(table.rows[:, 2], gfm1.indices)
 
@@ -470,6 +479,10 @@ def _malformed(part):
         doc["devices"].append({"bus": "b1", "name": "load", "kind": "rl",
                                "params": {"r": 0.2, "x": 0.4}})
         doc["standalone_stable"] = "yes"
+    elif part == "sections":
+        doc["branches"] = 5
+        doc["shunts"] = {"bus": "b1", "kind": "shunt_c", "params": {"b": 0.2}}
+        doc["devices"] = None
     elif part == "missing":
         # a key missing from two entries is no repeated value
         doc["shunts"] = [{"kind": "shunt_c", "params": {"b": 0.2}},
@@ -523,6 +536,11 @@ EXPECTED_VIOLATIONS = {
         "shunts[1]: missing required field 'bus'",
         "devices[0]: missing required field 'name'",
         "devices[1]: missing required field 'name'",
+    ],
+    "sections": [
+        "branches: expected a list",
+        "shunts: expected a list",
+        "devices: expected a list",
     ],
     "options": [
         "analyses.device-passivity.device: expected one of ['load'], got 'ghost'",
@@ -893,6 +911,8 @@ BAD_VALUES = {
                            "devices[0].nmae: unknown field (known: bus, kind, name, op, params)"),
     "unknown_shunt_key": (lambda doc: doc["shunts"][0].update(op={}),
                           "shunts[0].op: unknown field (known: bus, kind, params)"),
+    "branches_a_number": (lambda doc: doc.update(branches=5), "branches: expected a list"),
+    "branches_an_object": (lambda doc: doc.update(branches={"a": 1}), "branches: expected a list"),
 }
 
 

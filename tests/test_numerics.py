@@ -9,6 +9,7 @@ from fdpassivity.numerics import (
     determinant,
     general_eigen,
     hermitian_eigen,
+    hermitian_eigenvalues,
     inverse,
 )
 from oracles import hermitian_eigs_bisect
@@ -65,6 +66,40 @@ def test_hermitian_eigen_rejects_non_finite():
     m = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NonFiniteError):
         hermitian_eigen(m)
+
+
+def test_hermitian_eigenvalues_match_hermitian_eigen():
+    rng = np.random.default_rng(13)
+    h = np.stack([random_hermitian(rng, 12) for _ in range(6)])
+    values = hermitian_eigenvalues(h)
+    full = hermitian_eigen(h).values
+    assert np.all(np.abs(values - full) <= 1e-14 * np.abs(full).max(axis=-1, keepdims=True))
+    for k in range(h.shape[0]):
+        assert np.array_equal(hermitian_eigenvalues(h[k]), values[k])
+
+
+def _with(h, k, i, j, value):
+    bad = h.copy()
+    bad[k, i, j] = value
+    return bad
+
+
+_STACK = np.stack([random_hermitian(np.random.default_rng(17), 4) for _ in range(3)])
+BAD_HERMITIAN = {
+    "asymmetric": (np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex), NotHermitianError),
+    "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), NonFiniteError),
+    "imaginary_inf": (np.array([[1.0, 1j * np.inf], [0.0, 1.0]]), NonFiniteError),
+    "asymmetric_in_a_stack": (_with(_STACK, 1, 0, 3, _STACK[1, 0, 3] + 1e-6), NotHermitianError),
+    "nan_in_a_stack": (_with(_STACK, 2, 2, 2, np.nan), NonFiniteError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HERMITIAN))
+def test_hermitian_solvers_reject_the_same_inputs(case):
+    h, error = BAD_HERMITIAN[case]
+    for solver in (hermitian_eigen, hermitian_eigenvalues):
+        with pytest.raises(error):
+            solver(h)
 
 
 def test_general_eigen_diagonalizable():
