@@ -27,7 +27,6 @@ arrays go through _cmul and _div, which round as that arithmetic rounds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
@@ -514,6 +513,7 @@ def sample_model(model: DeviceModel, freqs_hz) -> BlackBoxModel:
 
 def read_blackbox_table(path) -> BlackBoxModel:
     """Load a frequency-response table from CSV (see BLACKBOX_HEADER)."""
+    import csv  # imported here: no other code reads CSV
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

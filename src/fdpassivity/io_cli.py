@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import network as net
-from . import passivity, stability
+from . import passivity
 from .devices import (
     DeviceModel,
     GflConverterL1,
@@ -80,8 +80,7 @@ _MODEL_KEYS = {"blackbox": ("kind", "path", "params"), "gfl_l1": ("kind", "param
                "gfm_l1": ("kind", "params", "op")}
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(NamedTuple):
     """Validated analysis configuration; analyses map each declared
     analysis to its options, defaults filled in."""
 
@@ -226,6 +225,9 @@ def _build_grid(doc, violations) -> np.ndarray | None:
             violations.append("grid.freqs_hz: expected a list of at least 2 numbers")
             return None
         arr = np.asarray(freqs, dtype=float)
+        if not np.all(np.isfinite(arr)):  # json reads NaN and Infinity
+            violations.append("grid.freqs_hz: must be finite")
+            return None
         if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
             violations.append("grid.freqs_hz: must be positive and strictly increasing")
             return None
@@ -243,6 +245,9 @@ def _build_grid(doc, violations) -> np.ndarray | None:
     if "points" in grid:
         pts = _num(grid, "points", "grid", violations, positive=True)
         if pts is None:
+            return None
+        if not pts.is_integer():  # an integral float such as 400.0 is accepted
+            violations.append(f"grid.points: expected a whole number, got {pts!r}")
             return None
         points = int(pts)
     else:
@@ -507,6 +512,7 @@ def _run_participation(sc: Scenario, opts, freqs):
 
 
 def _run_gnc(sc: Scenario, opts, freqs):
+    from . import stability  # on first use: five analyses never load it
     loci, verdict = stability.gnc_auto(
         sc.network,
         f_min_hz=float(freqs[0]),
@@ -537,6 +543,7 @@ def _gnc_summary(tables):
 
 
 def _run_fdpf(sc: Scenario, opts, freqs):
+    from . import stability  # on first use: five analyses never load it
     f_hz = float(opts["f_hz"])
     part = stability.fd_pf(sc.network, 1j * 2.0 * math.pi * f_hz)
     diag = part.diagonal_by_bus()
@@ -555,6 +562,7 @@ def _run_fdpf(sc: Scenario, opts, freqs):
 
 
 def _run_modes(sc: Scenario, opts, freqs):
+    from . import stability  # on first use: five analyses never load it
     scan = stability.mode_scan(
         sc.network, sc.omega_b,
         re_range=(float(opts["re_min"]), float(opts["re_max"])),
@@ -655,8 +663,7 @@ _W, _H = 880, 520
 _ML, _MR, _MT, _MB = 72, 24, 46, 54
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(NamedTuple):
     """How to render a table: log-frequency lines or a Nyquist plane."""
 
     kind: str = "line"  # "line" | "nyquist"

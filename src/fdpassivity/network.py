@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +59,7 @@ from .passivity import (
 )
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """Series element between two distinct buses."""
 
     from_bus: str
@@ -67,16 +67,14 @@ class Branch:
     model: DeviceModel
 
 
-@dataclass(frozen=True)
-class Shunt:
+class Shunt(NamedTuple):
     """Passive network shunt at a bus."""
 
     bus: str
     model: DeviceModel
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(NamedTuple):
     """Named active device (converter, grid equivalent) shunt-connected at a bus."""
 
     bus: str
@@ -84,8 +82,7 @@ class Device:
     model: DeviceModel
 
 
-@dataclass(frozen=True)
-class ComponentRef:
+class ComponentRef(NamedTuple):
     """Uniform handle on any network component for sensitivity work."""
 
     name: str
@@ -102,8 +99,7 @@ def _evaluate(evaluators, s) -> np.ndarray:
     return np.concatenate(stacks, axis=-3) if stacks else np.zeros(np.shape(s) + (0, 2, 2), complex)
 
 
-@dataclass(frozen=True)
-class _Part:
+class _Part(NamedTuple):
     """Where one part of Y_n (branches, shunts or devices) goes, resolved once.
 
     The part's evaluators give its 2x2 admittances in evaluator order (the
@@ -413,8 +409,7 @@ def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas
     )
 
 
-@dataclass(frozen=True)
-class ParticipationTable:
+class ParticipationTable(NamedTuple):
     """Component participations in the nodal index over a frequency grid.
 
     values[c, k] is component c's share at frequency k; at non-degenerate

@@ -17,7 +17,7 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ DEFECTIVE_COND = 1e12    # general eigenvector matrix flagged beyond this
 _ADJUGATE_COFACTOR_MAX = 8
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
+class HermitianEigen(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     values (..., n) are real and ascending, so values[..., 0] is the
@@ -66,8 +65,7 @@ class HermitianEigen:
         return (self.values[..., 1] - self.values[..., 0])[()]
 
 
-@dataclass(frozen=True)
-class GeneralEigen:
+class GeneralEigen(NamedTuple):
     """Eigendecomposition of a general complex matrix, or of each matrix of
     a stack.
 

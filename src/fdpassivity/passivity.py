@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +112,7 @@ class IndexSweep:
         return bool(np.all(self.indices >= 0.0))
 
 
-@dataclass(frozen=True)
-class SensitivitySeries:
+class SensitivitySeries(NamedTuple):
     """Index and its parametric derivative over a frequency grid.
 
     degenerate[k] marks frequencies where the two eigenvalues of H
@@ -130,8 +130,7 @@ class SensitivitySeries:
         return self.omegas / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class PredictionCurves:
+class PredictionCurves(NamedTuple):
     """First-order index prediction against a re-evaluated perturbed model."""
 
     param_name: str

@@ -1,11 +1,14 @@
-"""scipy and the thread pool stay off the import path.
+"""Modules an analysis does not run stay off the import path.
 
 The package imports scipy only inside stability._match_tracks, on the
 first GNC tracking step whose greedy eigenvalue match collides.  Every
 other analysis runs on numpy alone.  concurrent.futures, and logging with
 it, is imported only when a sweep first maps over blocks on more than one
-thread.  The tests here run in fresh interpreters: in this process
-tests/oracles.py has already imported scipy.
+thread.  io_cli imports the stability module only in the gnc, fdpf and
+modes analyses, so the other five never load it, and devices imports csv
+only to read a black-box table.  The tests here run in fresh
+interpreters: in this process tests/oracles.py has already imported
+scipy, and earlier tests have loaded stability and csv.
 """
 
 import json
@@ -80,3 +83,55 @@ for fixture in ("single_gfl.json", "three_bus.json"):
     io_cli.load_scenario(io_cli.fixture_path(fixture))
 """
     assert run_fresh(code, ("concurrent", "logging")) == []
+
+
+PASSIVITY_ANALYSES = ("device-passivity", "device-sens", "nodal-passivity", "nodal-sens",
+                       "participation")
+
+
+def test_passivity_analyses_leave_stability_and_csv_unloaded(tmp_path):
+    code = f"""
+from fdpassivity import io_cli
+
+for fixture in ("single_gfl.json", "three_bus.json"):
+    path = io_cli.fixture_path(fixture)
+    for analysis in {PASSIVITY_ANALYSES!r}:
+        status = io_cli.main([analysis, "--scenario", str(path),
+                              "--out", {str(tmp_path)!r} + "/" + fixture + analysis, "--svg"])
+        assert status == 0, (fixture, analysis, status)
+"""
+    loaded = run_fresh(code, ("fdpassivity", "csv"))
+    assert "fdpassivity.io_cli" in loaded
+    assert "fdpassivity.stability" not in loaded
+    assert "csv" not in loaded
+    assert len(list(tmp_path.glob("*/*.svg"))) >= 2 * len(PASSIVITY_ANALYSES)
+
+
+def test_gnc_loads_stability_on_first_use(tmp_path):
+    code = f"""
+from fdpassivity import io_cli
+
+path = io_cli.fixture_path("single_gfl.json")
+assert "fdpassivity.stability" not in sys.modules
+assert io_cli.main(["gnc", "--scenario", str(path), "--out", {str(tmp_path)!r}]) == 0
+"""
+    assert "fdpassivity.stability" in run_fresh(code, ("fdpassivity",))
+
+
+def test_reading_a_blackbox_table_loads_csv_and_parses_it(tmp_path):
+    code = f"""
+import numpy as np
+from fdpassivity.devices import (GflConverterL1, GflParams, OperatingPoint,
+                                 read_blackbox_table, sample_model, write_blackbox_table)
+
+# not conftest's models: pytest imports csv
+op = OperatingPoint.from_terminal(p=0.7, q=0.2, v=1.0, omega_b=2 * np.pi * 60)
+model, freqs = GflConverterL1(GflParams(), op), np.logspace(0, 3, 30)
+path = {str(tmp_path / "table.csv")!r}
+write_blackbox_table(path, model, freqs)
+assert "csv" not in sys.modules
+table, sampled = read_blackbox_table(path), sample_model(model, freqs)
+assert np.array_equal(table.freqs_hz, sampled.freqs_hz)
+assert np.array_equal(table.ydata, sampled.ydata)
+"""
+    assert "csv" in run_fresh(code, ("csv",))

@@ -161,6 +161,9 @@ def test_grid_forms(tmp_path):
     s = load_scenario(write_scenario(tmp_path, doc))
     assert s.omegas.size == 31
 
+    doc["grid"] = {"f_min_hz": 1.0, "f_max_hz": 1000.0, "points": 31.0}  # integral: 31 points
+    assert np.array_equal(load_scenario(write_scenario(tmp_path, doc)).omegas, s.omegas)
+
     doc["grid"] = {"f_min_hz": 1.0, "f_max_hz": 1000.0, "points": 10, "points_per_decade": 10}
     with pytest.raises(ScenarioValidationError, match="exactly one"):
         load_scenario(write_scenario(tmp_path, doc))
@@ -911,6 +914,12 @@ BAD_VALUES = {
                            "devices[0].nmae: unknown field (known: bus, kind, name, op, params)"),
     "unknown_shunt_key": (lambda doc: doc["shunts"][0].update(op={}),
                           "shunts[0].op: unknown field (known: bus, kind, params)"),
+    "grid_points_fractional": (lambda doc: doc["grid"].update(points=10.5),
+                               "grid.points: expected a whole number, got 10.5"),
+    "grid_freqs_nan": (lambda doc: doc.update(grid={"freqs_hz": [1.0, math.nan, 100.0]}),
+                       "grid.freqs_hz: must be finite"),
+    "grid_freqs_infinite": (lambda doc: doc.update(grid={"freqs_hz": [1.0, 10.0, math.inf]}),
+                            "grid.freqs_hz: must be finite"),
     "branches_a_number": (lambda doc: doc.update(branches=5), "branches: expected a list"),
     "branches_an_object": (lambda doc: doc.update(branches={"a": 1}), "branches: expected a list"),
 }
