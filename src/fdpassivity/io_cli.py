@@ -112,6 +112,16 @@ class ResultTable:
 
 # --- scenario loading -------------------------------------------------------
 
+def _finite(v) -> float | None:
+    """A JSON number as a float, or None when that is not finite: NaN and
+    Infinity (json reads both), or an integer too large for a float."""
+    try:
+        v = float(v)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _num(doc, key, ctx, violations, positive=False):
     if key not in doc:
         violations.append(f"{ctx}: missing required field {key!r}")
@@ -120,8 +130,8 @@ def _num(doc, key, ctx, violations, positive=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         violations.append(f"{ctx}.{key}: expected a number, got {type(v).__name__}")
         return None
-    v = float(v)
-    if not math.isfinite(v):
+    v = _finite(v)
+    if v is None:
         violations.append(f"{ctx}.{key}: must be finite")
         return None
     if positive and v <= 0:
@@ -217,15 +227,18 @@ def _build_grid(doc, violations) -> np.ndarray | None:
         violations.append("grid: missing or not an object")
         return None
     _reject_unknown(grid, _GRID_KEYS, "grid", "field", violations)
-    keys = [k for k in ("freqs_hz", "points", "points_per_decade") if k in grid]
     if "freqs_hz" in grid:
+        others = [k for k in ("f_min_hz", "f_max_hz", "points", "points_per_decade") if k in grid]
+        if others:
+            violations.append(f"grid: freqs_hz excludes {', '.join(others)}")
+            return None
         freqs = grid["freqs_hz"]
         if (not isinstance(freqs, list) or len(freqs) < 2
                 or not all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in freqs)):
             violations.append("grid.freqs_hz: expected a list of at least 2 numbers")
             return None
-        arr = np.asarray(freqs, dtype=float)
-        if not np.all(np.isfinite(arr)):  # json reads NaN and Infinity
+        arr = np.array([_finite(f) for f in freqs], dtype=float)  # None reads as NaN
+        if not np.all(np.isfinite(arr)):
             violations.append("grid.freqs_hz: must be finite")
             return None
         if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
@@ -239,8 +252,8 @@ def _build_grid(doc, violations) -> np.ndarray | None:
     if not f_min < f_max:
         violations.append(f"grid: f_min_hz ({f_min!r}) must be below f_max_hz ({f_max!r})")
         return None
-    if len(keys) != 1:
-        violations.append("grid: give exactly one of freqs_hz, points, points_per_decade")
+    if ("points" in grid) == ("points_per_decade" in grid):
+        violations.append("grid: give exactly one of points, points_per_decade (or freqs_hz alone)")
         return None
     if "points" in grid:
         pts = _num(grid, "points", "grid", violations, positive=True)
@@ -452,7 +465,7 @@ def _number(expected, ok=lambda value, done: True):
     """Finite JSON number for which ok(value, done) holds."""
     def check(value, done, network):
         finite = (not isinstance(value, bool) and isinstance(value, (int, float))
-                  and math.isfinite(value))
+                  and _finite(value) is not None)
         return None if finite and ok(value, done) else expected
     return check
 

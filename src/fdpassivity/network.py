@@ -230,17 +230,6 @@ def component(network: Network, name: str) -> ComponentRef:
     raise UnknownComponentError(f"no component named {name!r}")
 
 
-def incidence(network: Network) -> np.ndarray:
-    """Signed branch-bus incidence, 2B x 2N, made of +-I2 blocks."""
-    nb, nn = len(network.branches), network.n_buses
-    inc = np.zeros((2 * nb, 2 * nn))
-    for k, br in enumerate(network.branches):
-        i, j = network.bus_index(br.from_bus), network.bus_index(br.to_bus)
-        inc[2 * k:2 * k + 2, 2 * i:2 * i + 2] = np.eye(2)
-        inc[2 * k:2 * k + 2, 2 * j:2 * j + 2] = -np.eye(2)
-    return inc
-
-
 def _assemble(network: Network, s, parts, values=None) -> np.ndarray:
     """The sum of some parts of Y_n at s: (2N, 2N), or (M, 2N, 2N) for M
     values of s, scattered into one zero-filled stack."""

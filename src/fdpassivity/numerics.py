@@ -2,13 +2,13 @@
 
 Thin, contract-enforcing layer over LAPACK (via numpy): Hermitian and
 general eigendecomposition, Hermitian and general eigenvalues alone,
-determinant, adjugate, trace and inverse, all at desk scale (matrices up
-to a few hundred rows).  The eigensolvers, the determinant and the
-inverse also take a stack (..., n, n) of matrices; they check every
-matrix of it and give each the bits it gets alone.  The values-only
-solvers skip the eigenvectors (eigvalsh takes about half of eigh's time
-on 80x80 Hermitian stacks) and may differ from the full ones in the last
-bits.
+determinant, adjugate and inverse, all at desk scale (matrices up to a
+few hundred rows).  The eigensolvers, the determinant and the inverse
+also take a stack (..., n, n) of matrices; they check every matrix of it
+and give each the bits it gets alone.  The adjugate takes one matrix and
+comes from its SVD at every size, O(n^3).  The values-only solvers skip
+the eigenvectors (eigvalsh takes about half of eigh's time on 80x80
+Hermitian stacks) and may differ from the full ones in the last bits.
 
 Eigenvalue ordering is deterministic: Hermitian values ascend; general
 values sort by (real part, imaginary part) with ties broken by original
@@ -33,8 +33,6 @@ HERMITIAN_RTOL = 1e-9
 # Condition-number gates.
 COND_LIMIT = 1e14        # inverse refuses beyond this
 DEFECTIVE_COND = 1e12    # general eigenvector matrix flagged beyond this
-# Cofactor expansion up to this size; LU column replacement above.
-_ADJUGATE_COFACTOR_MAX = 8
 
 
 class HermitianEigen(NamedTuple):
@@ -211,49 +209,22 @@ def determinant(a):
     return complex(det) if a.ndim == 2 else det
 
 
-def trace(a) -> complex:
-    a = _as_square(a, "trace")
-    _check_finite(a, "trace")
-    return complex(np.trace(a))
-
-
-def _minor_det(a: np.ndarray, i: int, j: int) -> complex:
-    keep_r = [r for r in range(a.shape[0]) if r != i]
-    keep_c = [c for c in range(a.shape[1]) if c != j]
-    sub = a[np.ix_(keep_r, keep_c)]
-    if sub.size == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(sub))
-
-
 def adjugate(a) -> np.ndarray:
-    """Adjugate matrix, stable near singularity.
+    """Adjugate matrix from one SVD, at any rank.
 
-    Satisfies A @ adj(A) == det(A) * I even when A is nearly singular.
-    Cofactor (minor) expansion for n <= 8; for larger matrices each
-    cofactor is the determinant of A with one column replaced by a unit
-    vector, evaluated by LU.
+    With A = U S V^H, adj(A) = det(U) det(V^H) V diag(p) U^H, where p_i is
+    the product of every singular value but s_i, built from prefix and
+    suffix products with no division: A @ adj(A) == det(A) * I holds for
+    singular A too, and a 1x1 matrix gives [[1]].
     """
     a = _as_square(a, "adjugate")
     _check_finite(a, "adjugate")
-    n = a.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    adj = np.empty((n, n), dtype=complex)
-    if n <= _ADJUGATE_COFACTOR_MAX:
-        for i in range(n):
-            for j in range(n):
-                adj[j, i] = (-1) ** (i + j) * _minor_det(a, i, j)
-    else:
-        work = a.copy()  # keep the caller's matrix untouched
-        for j in range(n):
-            col = work[:, j].copy()
-            for i in range(n):
-                work[:, j] = 0.0
-                work[i, j] = 1.0
-                adj[j, i] = np.linalg.det(work)
-            work[:, j] = col
-    return adj
+    try:
+        u, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"adjugate failed to converge: {exc}") from exc
+    p = np.cumprod(np.r_[1.0, s[:-1]]) * np.cumprod(np.r_[1.0, s[:0:-1]])[::-1]
+    return np.linalg.det(u) * np.linalg.det(vh) * (vh.conj().T * p) @ u.conj().T
 
 
 def _cond_or_inf(a: np.ndarray) -> float:

@@ -26,7 +26,8 @@ collides are settled one at a time.  The mode scan runs the Muller searches
 of all its seeds in lockstep: each round evaluates det Y_n at the next
 point of every live search as one stack, in the same blocks, and a seed
 that meets a point where det Y_n is not evaluable is re-run alone by
-refine_mode.  xi evaluates its four difference points as one stack;
+refine_mode.  xi evaluates its four difference points as one stack and
+takes adj(Y_n) from one SVD (numerics.adjugate, O(n^3) at any size);
 refine_mode and the participation factors work at one s.
 
 Winding numbers come from summed principal-value angle increments around
@@ -58,7 +59,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .network import Network, assemble_devices, assemble_net, assemble_nodal
-from .numerics import adjugate, determinant, eigenvalues, general_eigen, inverse, trace
+from .numerics import adjugate, determinant, eigenvalues, general_eigen, inverse
 from .passivity import frequency_blocks, log_omega_grid
 
 CRITICAL = -1.0 + 0.0j
@@ -396,7 +397,7 @@ def xi_coefficient(network: Network, lam: complex, omega_b: float) -> complex:
         raise ZeroDenominatorError(
             f"determinant derivative vanishes at lambda={lam:.6g}; xi undefined"
         )
-    return -trace(adjugate(assemble_nodal(network, lam))) / d
+    return -complex(np.trace(adjugate(assemble_nodal(network, lam)))) / d
 
 
 def mode_admittance_sensitivity(network: Network, lam: complex, omega_b: float) -> np.ndarray:

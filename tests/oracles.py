@@ -14,7 +14,10 @@ The self-refining Nyquist verdict is checked against plain doubling of
 the point count, solving every grid from scratch (the package nests its
 grids and keeps the eigenvalues of the points it has already solved).
 The SVG series paths are checked against a per-sample loop (the package
-maps and formats each series as arrays).
+maps and formats each series as arrays).  The adjugate is checked against
+cofactor expansion and LU column replacement (the package takes one SVD),
+and branch assembly against the incidence sandwich Inc^T diag(Y_k) Inc
+(the package scatters each branch's 2x2 blocks).
 """
 
 from __future__ import annotations
@@ -302,3 +305,41 @@ def series_path_pointwise(color, xs, ys, sx, sy) -> str:
         pen_down = True
     return (f'<path class="series" fill="none" stroke="{color}" '
             f'stroke-width="1.5" d="{" ".join(parts)}"/>')
+
+
+def adjugate_cofactor(a: np.ndarray) -> np.ndarray:
+    """Adjugate by cofactors: minor determinants for n <= 8; above that,
+    each cofactor is the LU determinant of A with one column replaced by a
+    unit vector (the package takes one SVD at every size)."""
+    n = a.shape[0]
+    if n == 1:
+        return np.ones((1, 1), dtype=complex)
+    adj = np.empty((n, n), dtype=complex)
+    if n <= 8:
+        for i in range(n):
+            for j in range(n):
+                keep_r = [r for r in range(n) if r != i]
+                keep_c = [c for c in range(n) if c != j]
+                adj[j, i] = (-1) ** (i + j) * np.linalg.det(a[np.ix_(keep_r, keep_c)])
+    else:
+        work = np.array(a, dtype=complex)
+        for j in range(n):
+            col = work[:, j].copy()
+            for i in range(n):
+                work[:, j] = 0.0
+                work[i, j] = 1.0
+                adj[j, i] = np.linalg.det(work)
+            work[:, j] = col
+    return adj
+
+
+def incidence(network) -> np.ndarray:
+    """Signed branch-bus incidence, 2B x 2N, made of +-I2 blocks (the
+    package scatters each branch's blocks straight into Y_n)."""
+    nb, nn = len(network.branches), network.n_buses
+    inc = np.zeros((2 * nb, 2 * nn))
+    for k, br in enumerate(network.branches):
+        i, j = network.bus_index(br.from_bus), network.bus_index(br.to_bus)
+        inc[2 * k:2 * k + 2, 2 * i:2 * i + 2] = np.eye(2)
+        inc[2 * k:2 * k + 2, 2 * j:2 * j + 2] = -np.eye(2)
+    return inc

@@ -10,7 +10,9 @@ alone, and the GNC tracker must make the decisions the step-by-step loop
 makes.  The sweeps and GNC must not depend on how their grid is split into
 chunks or blocks or spread over worker threads.  The lockstep mode scan
 must return what refine_mode from one seed after another returns, to the
-bit, and raise what it raises.
+bit, and raise what it raises.  The SVD adjugate and the mode
+sensitivities built on it must match the cofactor/LU oracle at the modes
+to 1e-12 relative.
 """
 
 import gc
@@ -56,6 +58,7 @@ from fdpassivity.network import (
     nodal_passivity_sweep,
 )
 from fdpassivity.numerics import (
+    adjugate,
     determinant,
     eigenvalues,
     general_eigen,
@@ -70,10 +73,17 @@ from fdpassivity.passivity import (
     is_degenerate,
     log_omega_grid,
 )
-from fdpassivity.stability import _track_loci, gnc, loop_gain, mode_scan, refine_mode
+from fdpassivity.stability import (
+    _track_loci,
+    gnc,
+    loop_gain,
+    mode_admittance_sensitivity,
+    mode_scan,
+    refine_mode,
+)
 
 from conftest import WB, make_single_gfl, make_three_bus, random_passive_network
-from oracles import mode_scan_sequential, track_loci_sequential
+from oracles import adjugate_cofactor, mode_scan_sequential, track_loci_sequential
 
 RTOL = 0.0  # relative, per element: bit-identical
 
@@ -536,6 +546,28 @@ def test_lockstep_mode_scan_matches_sequential_fixtures():
 def test_lockstep_mode_scan_matches_sequential_ladder(tmp_path, seed):
     sc = stability_ladder(tmp_path, seed)
     assert mode_scan(sc.network, sc.omega_b) == mode_scan_sequential(sc.network, sc.omega_b)
+
+
+def test_adjugate_matches_oracle_at_ladder_modes(tmp_path):
+    sc = stability_ladder(tmp_path, 1)
+    modes = mode_scan(sc.network, sc.omega_b).modes
+    assert modes
+    for m in modes:
+        y = assemble_nodal(sc.network, m.lam)
+        ref = adjugate_cofactor(y)
+        assert np.linalg.norm(adjugate(y) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("scr, k_p_pll", CRITERION_8)
+def test_mode_sensitivity_matches_oracle_adjugate_criterion_8(monkeypatch, scr, k_p_pll):
+    net = make_single_gfl(scr=scr, k_p_pll=k_p_pll)
+    modes = mode_scan(net, WB).modes
+    assert modes
+    sens = [mode_admittance_sensitivity(net, m.lam, WB) for m in modes]
+    monkeypatch.setattr(stability, "adjugate", adjugate_cofactor)
+    for m, got in zip(modes, sens):
+        ref = mode_admittance_sensitivity(net, m.lam, WB)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @settings(max_examples=20, deadline=None)

@@ -172,6 +172,14 @@ def test_grid_forms(tmp_path):
     with pytest.raises(ScenarioValidationError, match="increasing"):
         load_scenario(write_scenario(tmp_path, doc))
 
+    # freqs_hz is a grid on its own: any of the other four keys beside it is an error
+    for key, value in (("f_min_hz", 1.0), ("f_max_hz", 1000.0), ("points", 31),
+                       ("points_per_decade", 10)):
+        doc["grid"] = {"freqs_hz": [1.0, 10.0, 100.0], key: value}
+        with pytest.raises(ScenarioValidationError) as info:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert info.value.violations == [f"grid: freqs_hz excludes {key}"]
+
 
 def test_run_rejects_undeclared_analysis(single_gfl_scenario, tmp_path):
     with pytest.raises(ScenarioValidationError):
@@ -920,6 +928,24 @@ BAD_VALUES = {
                        "grid.freqs_hz: must be finite"),
     "grid_freqs_infinite": (lambda doc: doc.update(grid={"freqs_hz": [1.0, 10.0, math.inf]}),
                             "grid.freqs_hz: must be finite"),
+    "grid_freqs_with_range": (lambda doc: doc["grid"].update(freqs_hz=[1.0, 10.0]),
+                              "grid: freqs_hz excludes f_min_hz, f_max_hz, points"),
+    "grid_freqs_with_points": (lambda doc: doc.update(grid={"freqs_hz": [1.0, 10.0], "points": 5}),
+                               "grid: freqs_hz excludes points"),
+    # JSON integers too large for a float are not finite
+    "param_l_c_huge": (lambda doc: doc["devices"][0]["params"].update(l_c=10**400),
+                       "devices[0].params.l_c: must be finite"),
+    "op_p_huge": (lambda doc: doc["devices"][0]["op"].update(p=10**400),
+                  "devices[0].op.p: must be finite"),
+    "base_f_hz_huge": (lambda doc: doc["base"].update(f_hz=10**400), "base.f_hz: must be finite"),
+    "grid_points_huge": (lambda doc: doc["grid"].update(points=10**400),
+                         "grid.points: must be finite"),
+    "grid_freqs_huge": (lambda doc: doc.update(grid={"freqs_hz": [1.0, 10**400]}),
+                        "grid.freqs_hz: must be finite"),
+    "fdpf_f_huge": (_set_option("fdpf", "f_hz", 10**400),
+                    "analyses.fdpf.f_hz: expected a positive number"),
+    "modes_re_min_huge": (_set_option("modes", "re_min", -10**400),
+                          "analyses.modes.re_min: expected a number"),
     "branches_a_number": (lambda doc: doc.update(branches=5), "branches: expected a list"),
     "branches_an_object": (lambda doc: doc.update(branches={"a": 1}), "branches: expected a list"),
 }

@@ -18,7 +18,6 @@ from fdpassivity.network import (
     component,
     components,
     directional_nodal_sensitivity,
-    incidence,
     nodal_param_sensitivity,
     nodal_passivity_sweep,
     participation_sweep,
@@ -27,6 +26,7 @@ from fdpassivity.numerics import hermitian_eigen, inverse
 from fdpassivity.passivity import hermitian_part, log_omega_grid
 
 from conftest import WB, random_passive_network
+from oracles import incidence
 
 
 def two_bus_symmetric():

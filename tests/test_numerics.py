@@ -12,7 +12,7 @@ from fdpassivity.numerics import (
     hermitian_eigenvalues,
     inverse,
 )
-from oracles import hermitian_eigs_bisect
+from oracles import adjugate_cofactor, hermitian_eigs_bisect
 
 
 def random_hermitian(rng, n):
@@ -167,6 +167,45 @@ def test_adjugate_near_singular_stays_accurate():
     adj = adjugate(a)
     d = determinant(a)
     assert np.linalg.norm(a @ adj - d * np.eye(4)) <= 1e-8 * np.linalg.norm(adj)
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_adjugate_matches_cofactor_oracle():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 5, 8, 9, 13, 20):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert rel_diff(adjugate(a), adjugate_cofactor(a)) <= 1e-12
+
+
+def test_adjugate_rank_n_minus_1_and_n_minus_2():
+    rng = np.random.default_rng(37)
+    for n in (2, 3, 6, 12):
+        u, _, vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        s = np.linspace(2.0, 0.5, n)
+        s[-1] = 0.0  # rank n - 1: adj is rank 1, nonzero, and annihilates A from both sides
+        a = u @ np.diag(s) @ vh
+        adj = adjugate(a)
+        scale = np.linalg.norm(a) * np.linalg.norm(adj)
+        assert np.linalg.norm(adj) >= 0.1 * np.prod(s[:-1])
+        assert np.linalg.norm(a @ adj) <= 1e-13 * scale
+        assert np.linalg.norm(adj @ a) <= 1e-13 * scale
+        assert rel_diff(adj, adjugate_cofactor(a)) <= 1e-12
+        s[-2] = 0.0  # rank n - 2: every (n-1)-minor vanishes, to rounding
+        assert np.linalg.norm(adjugate(u @ np.diag(s) @ vh)) <= 1e-13 * np.linalg.norm(adj)
+
+
+def test_adjugate_near_singular_20x20_matches_lu_oracle():
+    rng = np.random.default_rng(41)
+    u, _, vh = np.linalg.svd(rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20)))
+    s = np.geomspace(10.0, 1e-3, 20)
+    s[-1] = 1e-13
+    a = u @ np.diag(s) @ vh
+    adj = adjugate(a)
+    assert rel_diff(adj, adjugate_cofactor(a)) <= 1e-12
+    assert np.linalg.norm(a @ adj - determinant(a) * np.eye(20)) <= 1e-12 * np.linalg.norm(adj)
 
 
 def test_inverse():
