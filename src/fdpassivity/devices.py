@@ -155,7 +155,6 @@ class OperatingPoint:
     v_q0: float
     i_d0: float
     i_q0: float
-    omega0: float   # synchronous angular frequency, rad/s
     omega_b: float  # per-unit base angular frequency, rad/s
 
     def __post_init__(self):
@@ -171,8 +170,7 @@ class OperatingPoint:
         if v <= 0:
             raise ValueError("terminal voltage magnitude must be positive")
         i = complex(p, q).conjugate() / v
-        return cls(v_d0=v, v_q0=0.0, i_d0=i.real, i_q0=i.imag,
-                   omega0=omega_b, omega_b=omega_b)
+        return cls(v_d0=v, v_q0=0.0, i_d0=i.real, i_q0=i.imag, omega_b=omega_b)
 
     @property
     def v0(self) -> np.ndarray:

@@ -74,7 +74,7 @@ _TOP_KEYS = ("schema", "name", "base", "grid", "buses", "branches", "shunts", "d
              "standalone_stable", "analyses")
 _BASE_KEYS = ("s_va", "v_v", "f_hz")
 _GRID_KEYS = ("f_min_hz", "f_max_hz", "points", "points_per_decade", "freqs_hz")
-_OP_KEYS = ("p", "q", "v")
+_OP_FIELDS = {"p": True, "q": True, "v": True}  # field -> required
 # the model keys of each kind, next to the keys of the section an entry is in
 _MODEL_KEYS = {"blackbox": ("kind", "path", "params"), "gfl_l1": ("kind", "params", "op"),
                "gfm_l1": ("kind", "params", "op")}
@@ -159,37 +159,16 @@ def _reject_unknown(given, known, ctx, what, violations):
                 f"{name}: unknown {what} (known: {', '.join(sorted(known)) or 'none'})")
 
 
-def _params_from(doc, cls, positive, ctx, violations) -> dict | None:
-    """Values for the fields of dataclass cls (omega_b excepted) from the
-    JSON "params" object: a field with a default may be left out; unknown
-    and non-numeric entries are violations."""
-    given = doc.get("params", {})
-    if not isinstance(given, dict):
-        violations.append(f"{ctx}.params: expected an object")
-        return None
-    declared = {f.name: f for f in fields(cls) if f.name != "omega_b"}
+def _read_fields(given, table, positive, ctx, what, violations) -> dict | None:
+    """The numbers a JSON object gives for the names of table (name ->
+    required): an optional name may be left out; the names in positive
+    must be positive; an unknown key (a "parameter" or a "field") and a bad
+    value are violations, and any violation gives None."""
     before = len(violations)
-    _reject_unknown(given, declared, f"{ctx}.params", "parameter", violations)
-    values = {}
-    for name, f in declared.items():
-        if name in given or f.default is MISSING:
-            values[name] = _num(given, name, f"{ctx}.params", violations,
-                                positive=name in positive)
+    _reject_unknown(given, table, ctx, what, violations)
+    values = {name: _num(given, name, ctx, violations, positive=name in positive)
+              for name, required in table.items() if required or name in given}
     return values if len(violations) == before else None
-
-
-def _operating_point(doc, ctx, omega_b, violations):
-    op = doc.get("op")
-    if not isinstance(op, dict):
-        violations.append(f"{ctx}: converter models need an \"op\" object with p, q, v")
-        return None
-    _reject_unknown(op, _OP_KEYS, f"{ctx}.op", "field", violations)
-    p = _num(op, "p", f"{ctx}.op", violations)
-    q = _num(op, "q", f"{ctx}.op", violations)
-    v = _num(op, "v", f"{ctx}.op", violations, positive=True)
-    if None in (p, q, v):
-        return None
-    return OperatingPoint.from_terminal(p, q, v, omega_b)
 
 
 def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceModel | None:
@@ -209,13 +188,23 @@ def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceM
             rel = _str(doc, "path", ctx, violations)
             return None if rel is None else read_blackbox_table(base_dir / rel)
         cls, source, positive = _MODELS[kind]
-        values = _params_from(doc, source, positive, ctx, violations)
+        given, values = doc.get("params", {}), None
+        if isinstance(given, dict):
+            # every field of source but omega_b; one without a default is required
+            table = {f.name: f.default is MISSING for f in fields(source) if f.name != "omega_b"}
+            values = _read_fields(given, table, positive, f"{ctx}.params", "parameter", violations)
+        else:
+            violations.append(f"{ctx}.params: expected an object")
         if source is cls:
             return None if values is None else cls(**values, omega_b=omega_b)
-        op = _operating_point(doc, ctx, omega_b, violations)
+        given, op = doc.get("op"), None
+        if isinstance(given, dict):
+            op = _read_fields(given, _OP_FIELDS, ("v",), f"{ctx}.op", "field", violations)
+        else:
+            violations.append(f"{ctx}: converter models need an \"op\" object with p, q, v")
         if values is None or op is None:
             return None
-        return cls(params=source(**values), op=op)
+        return cls(params=source(**values), op=OperatingPoint.from_terminal(**op, omega_b=omega_b))
     except (ValidationFailure, ValueError) as exc:
         violations.append(f"{ctx}: {exc}")
         return None
@@ -271,32 +260,13 @@ def _build_grid(doc, violations) -> np.ndarray | None:
     if points < 2:
         violations.append("grid.points: need at least 2")
         return None
-    return passivity.log_omega_grid(f_min, f_max, points)
-
-
-def _distinct_ends(values, seen):
-    return "endpoints must differ" if values[0] is not None and values[0] == values[1] else None
-
-
-def _unique(position, message):
-    """Rule: the value at position, when it parsed, is in no earlier entry
-    of the section; message formats the repeated value."""
-    def rule(values, seen):
-        value = values[position]
-        repeated = value is not None and value in seen
-        seen.add(value)
-        return message.format(value) if repeated else None
-    return rule
-
-
-# section -> (its string keys, in message order; the rule across its
-#   entries, (values of the keys, values of earlier entries) -> violation or
-#   None; its network class, made from the values and then the model)
-_SECTIONS = {
-    "branches": (("from", "to"), _distinct_ends, net.Branch),
-    "shunts": (("bus",), _unique(0, "more than one shunt at bus {!r}; merge them"), net.Shunt),
-    "devices": (("bus", "name"), _unique(1, "duplicate device name {!r}"), net.Device),
-}
+    if points <= sys.maxsize // 8:  # numpy refuses larger sizes before allocating
+        try:
+            return passivity.log_omega_grid(f_min, f_max, points)
+        except MemoryError:
+            pass
+    violations.append(f"grid: {points} points do not fit in memory")
+    return None
 
 
 def load_scenario(path) -> Scenario:
@@ -344,12 +314,12 @@ def load_scenario(path) -> Scenario:
             or not all(isinstance(b, str) and b for b in buses)):
         violations.append("buses: expected a non-empty list of names")
         buses = []
-    elif len(set(buses)) != len(buses):
-        violations.append("buses: names must be unique")
+    else:
+        violations += [f"buses: {problem}" for problem in net.bus_problems(buses)]
 
     bus_set = set(buses)
     found = {}  # section -> (values, model) of each entry
-    for section, (keys, rule, _) in _SECTIONS.items():
+    for section, (keys, _, _) in net.SECTIONS.items():
         found[section], seen = [], set()
         entries = doc.get(section, [])
         if not isinstance(entries, list):
@@ -361,13 +331,8 @@ def load_scenario(path) -> Scenario:
                 violations.append(f"{ctx}: expected an object")
                 continue
             values = [_str(item, key, ctx, violations) for key in keys]
-            for key, value in zip(keys, values):
-                # every key but a device's name names a bus
-                if key != "name" and value is not None and bus_set and value not in bus_set:
-                    violations.append(f"{ctx}: unknown bus {value!r}")
-            problem = rule(values, seen)
-            if problem:
-                violations.append(f"{ctx}: {problem}")
+            violations += [f"{ctx}: {message}"
+                           for _, message in net.entry_problems(section, values, bus_set, seen)]
             model = _build_model(item, ctx, keys, omega_b, p.parent, violations)
             found[section].append((*values, model))
 
@@ -377,13 +342,10 @@ def load_scenario(path) -> Scenario:
         standalone = False
 
     network = None
-    if not violations:
-        try:
-            network = net.Network(buses=tuple(buses), **{
-                section: tuple(cls(*entry) for entry in found[section])
-                for section, (_, _, cls) in _SECTIONS.items()})
-        except (ValidationFailure, ValueError) as exc:
-            violations.append(f"network: {exc}")
+    if not violations:  # so the network breaks none of its rules: they were checked above
+        network = net.Network(buses=buses, **{
+            section: [cls(*entry) for entry in found[section]]
+            for section, (_, cls, _) in net.SECTIONS.items()})
 
     analyses = doc.get("analyses", {})
     resolved = {}

@@ -82,6 +82,51 @@ class Device(NamedTuple):
     model: DeviceModel
 
 
+# section -> (the string keys of its entries in a scenario, in field order;
+#   its class, made from their values and then the model; the message for
+#   an entry's last value repeating an earlier entry's, or None for a
+#   branch, whose two ends must differ instead)
+SECTIONS = {
+    "branches": (("from", "to"), Branch, None),
+    "shunts": (("bus",), Shunt, "more than one shunt at bus {!r}; merge them"),
+    "devices": (("bus", "name"), Device, "duplicate device name {!r}"),
+}
+
+
+def _unsafe_name(name) -> list[str]:
+    """The message for a name that would break out of its CSV header field."""
+    unsafe = set(str(name)) & set(',"\r\n')
+    return [f"name {name!r} contains a comma, double quote, CR or LF"] if unsafe else []
+
+
+def bus_problems(buses) -> list[str]:
+    """The rules a list of bus names breaks, in message order."""
+    repeated = ["names must be unique"] if len(set(buses)) != len(buses) else []
+    return repeated + [m for b in buses for m in _unsafe_name(b)]
+
+
+def entry_problems(section: str, values, buses, seen: set) -> list[tuple[type, str]]:
+    """The topology rules one entry of a section breaks, in message order,
+    each as (error class, message).  values are the entry's strings in
+    SECTIONS key order, None where one did not parse; no bus is unknown
+    when buses is empty; seen holds the last values of earlier entries."""
+    keys, _, repeated = SECTIONS[section]
+    problems = [(UnknownBusError, f"unknown bus {v!r}") for k, v in zip(keys, values)
+                if k != "name" and v is not None and buses and v not in buses]
+    last = values[-1]
+    if last is None:
+        return problems
+    if keys[-1] == "name":
+        problems += [(ValueError, m) for m in _unsafe_name(last)]
+    if repeated is None:
+        if last == values[0]:
+            problems.append((ValueError, "endpoints must differ"))
+    elif last in seen:
+        problems.append((ValueError, repeated.format(last)))
+    seen.add(last)
+    return problems
+
+
 class ComponentRef(NamedTuple):
     """Uniform handle on any network component for sensitivity work."""
 
@@ -142,7 +187,9 @@ class Network:
     """Immutable bus/branch/shunt/device description.
 
     The bus index of every component is resolved once, here, for
-    assembly to read.
+    assembly to read.  A broken rule raises the message the scenario
+    loader reports for it: UnknownBusError for an unknown bus, ValueError
+    otherwise.
     """
 
     buses: tuple[str, ...]
@@ -151,35 +198,20 @@ class Network:
     devices: tuple[Device, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "branches", tuple(self.branches))
-        object.__setattr__(self, "shunts", tuple(self.shunts))
-        object.__setattr__(self, "devices", tuple(self.devices))
+        for field in ("buses", *SECTIONS):
+            object.__setattr__(self, field, tuple(getattr(self, field)))
         if not self.buses:
             raise ValueError("network needs at least one bus")
-        if len(set(self.buses)) != len(self.buses):
-            raise ValueError("bus names must be unique")
         index = {b: k for k, b in enumerate(self.buses)}
-        for br in self.branches:
-            for b in (br.from_bus, br.to_bus):
-                if b not in index:
-                    raise UnknownBusError(f"branch endpoint {b!r} is not a bus")
-            if br.from_bus == br.to_bus:
-                raise ValueError(f"branch endpoints must differ, got {br.from_bus!r} twice")
-        seen_shunt = set()
-        for sh in self.shunts:
-            if sh.bus not in index:
-                raise UnknownBusError(f"shunt bus {sh.bus!r} is not a bus")
-            if sh.bus in seen_shunt:
-                raise ValueError(f"more than one shunt at bus {sh.bus!r}; merge them")
-            seen_shunt.add(sh.bus)
-        names = set()
-        for dev in self.devices:
-            if dev.bus not in index:
-                raise UnknownBusError(f"device bus {dev.bus!r} is not a bus")
-            if dev.name in names:
-                raise ValueError(f"duplicate device name {dev.name!r}")
-            names.add(dev.name)
+        problems = [(ValueError, f"buses: {p}") for p in bus_problems(self.buses)]
+        for section in SECTIONS:
+            seen = set()
+            problems += [(error, f"{section}[{k}]: {message}")
+                         for k, entry in enumerate(getattr(self, section))
+                         for error, message in entry_problems(section, entry[:-1], index, seen)]
+        if problems:
+            error, message = problems[0]
+            raise error(message)
         object.__setattr__(self, "_index", index)
         n = len(self.buses)
         object.__setattr__(self, "_parts", (  # the order every Y_n entry sums in

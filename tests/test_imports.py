@@ -8,9 +8,11 @@ thread.  io_cli imports the stability module only in the gnc, fdpf and
 modes analyses, so the other five never load it, and devices imports csv
 only to read a black-box table.  The tests here run in fresh
 interpreters: in this process tests/oracles.py has already imported
-scipy, and earlier tests have loaded stability and csv.
+scipy, and earlier tests have loaded stability and csv.  The last test
+reads the source instead: no module imports a name it never uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -135,3 +137,23 @@ assert np.array_equal(table.freqs_hz, sampled.freqs_hz)
 assert np.array_equal(table.ydata, sampled.ydata)
 """
     assert "csv" in run_fresh(code, ("csv",))
+
+
+# (module, name) imported and never used, on purpose: network imports
+# numerics.inverse only so that bench/tracing.py's network.inverse hook
+# resolves, though nothing in network calls it
+KEPT_UNUSED = {("network", "inverse")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for path in sorted((SRC / "fdpassivity").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == KEPT_UNUSED

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import fdpassivity
 from fdpassivity import io_cli
-from fdpassivity.devices import BlackBoxModel, write_blackbox_table
-from fdpassivity.errors import ScenarioParseError, ScenarioValidationError
+from fdpassivity.devices import BlackBoxModel, RlBranch, ShuntCapacitor, write_blackbox_table
+from fdpassivity.errors import ScenarioParseError, ScenarioValidationError, UnknownBusError
 from fdpassivity.io_cli import (
     ANALYSES,
     PlotSpec,
@@ -32,6 +32,10 @@ from fdpassivity.io_cli import (
     run,
 )
 from fdpassivity.network import (
+    Branch,
+    Device,
+    Network,
+    Shunt,
     nodal_index_sweep,
     nodal_param_sensitivity,
     nodal_passivity_sweep,
@@ -40,6 +44,7 @@ from fdpassivity.network import (
 from fdpassivity.passivity import first_order_prediction, index_sweep
 from fdpassivity.stability import fd_pf, gnc_auto, mode_scan
 
+from conftest import WB
 from oracles import series_path_pointwise
 
 
@@ -494,6 +499,11 @@ def _malformed(part):
         doc["branches"] = 5
         doc["shunts"] = {"bus": "b1", "kind": "shunt_c", "params": {"b": 0.2}}
         doc["devices"] = None
+    elif part == "op_unknown_and_missing":
+        # the one field reader reports unknown keys before missing ones
+        doc["devices"] = [{"bus": "b1", "name": "gfl", "kind": "gfl_l1",
+                           "op": {"p": 0.7, "qq": 0.2, "v": 1.0}}]
+        doc["analyses"] = {}
     elif part == "missing":
         # a key missing from two entries is no repeated value
         doc["shunts"] = [{"kind": "shunt_c", "params": {"b": 0.2}},
@@ -533,6 +543,10 @@ EXPECTED_VIOLATIONS = {
         "devices[1].op.q: expected a number, got str",
         "devices[1].op.v: must be positive, got 0.0",
     ],
+    "op_unknown_and_missing": [
+        "devices[0].op.qq: unknown field (known: p, q, v)",
+        "devices[0].op: missing required field 'q'",
+    ],
     "topology": [
         "buses: names must be unique",
         "branches[0]: endpoints must differ",
@@ -571,6 +585,66 @@ def test_violation_messages_are_exact(tmp_path, part):
     with pytest.raises(ScenarioValidationError) as info:
         load_scenario(write_scenario(tmp_path, _malformed(part)))
     assert info.value.violations == EXPECTED_VIOLATIONS[part]
+
+
+def _direct_network(doc):
+    """The network a minimal_doc-style document describes, built without
+    the loader."""
+    rl, cap = RlBranch(0.1, 0.5, WB), ShuntCapacitor(0.2, WB)
+    return Network(buses=doc["buses"],
+                   branches=[Branch(e["from"], e["to"], rl) for e in doc.get("branches", [])],
+                   shunts=[Shunt(e["bus"], cap) for e in doc["shunts"]],
+                   devices=[Device(e["bus"], e["name"], rl) for e in doc["devices"]])
+
+
+def _add(section, **entry):
+    kinds = {"branches": ("rl", {"r": 0.1, "x": 0.5}), "shunts": ("shunt_c", {"b": 0.1}),
+             "devices": ("rl", {"r": 0.2, "x": 0.4})}
+    kind, params = kinds[section]
+    return lambda doc: doc.setdefault(section, []).append(dict(entry, kind=kind, params=params))
+
+
+def _add_bus(name):
+    return lambda doc: doc["buses"].append(name)
+
+
+# each malformed topology -> (the error class Network raises for its first
+#   violation, one edit of minimal_doc per violation)
+TOPOLOGY_CASES = {
+    "branch_unknown_bus": (UnknownBusError, _add("branches", **{"from": "b1", "to": "zz"})),
+    "branch_same_ends": (ValueError, _add("branches", **{"from": "b1", "to": "b1"})),
+    "shunt_unknown_bus": (UnknownBusError, _add("shunts", bus="zz")),
+    "two_shunts_at_a_bus": (ValueError, _add("shunts", bus="b1")),
+    "device_unknown_bus": (UnknownBusError, _add("devices", bus="zz", name="d2")),
+    "duplicate_device_name": (ValueError, _add("devices", bus="b1", name="load")),
+    "duplicate_bus": (ValueError, _add_bus("b1")),
+    "bus_name_comma": (ValueError, _add_bus("b,2")),
+    "bus_name_quote": (ValueError, _add_bus('b"2')),
+    "device_name_cr": (ValueError, _add("devices", bus="b1", name="d\r2")),
+    "device_name_lf": (ValueError, _add("devices", bus="b1", name="d\n2")),
+    # the loader reports both; Network raises the first
+    "unknown_bus_then_duplicate_name": (UnknownBusError,
+                                        _add("devices", bus="b1", name="load"),
+                                        _add("branches", **{"from": "b1", "to": "zz"})),
+    "duplicate_bus_then_same_ends": (ValueError, _add_bus("b1"),
+                                     _add("branches", **{"from": "b1", "to": "b1"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOPOLOGY_CASES))
+def test_network_raises_the_loaders_first_topology_violation(tmp_path, case):
+    error, *edits = TOPOLOGY_CASES[case]
+    doc = minimal_doc()
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(ScenarioValidationError) as loaded:
+        load_scenario(write_scenario(tmp_path, doc))
+    violations = loaded.value.violations
+    assert len(violations) == len(edits)
+    with pytest.raises((ValueError, UnknownBusError)) as built:
+        _direct_network(doc)
+    assert type(built.value) is error
+    assert str(built.value) == violations[0]
 
 
 def _svg_table(name, columns, *series):
@@ -946,6 +1020,23 @@ BAD_VALUES = {
                     "analyses.fdpf.f_hz: expected a positive number"),
     "modes_re_min_huge": (_set_option("modes", "re_min", -10**400),
                           "analyses.modes.re_min: expected a number"),
+    # a name that would break out of its CSV header field
+    "device_name_comma": (lambda doc: doc["devices"][0].update(name="GFL,1"),
+                          "devices[0]: name 'GFL,1' contains a comma, double quote, CR or LF"),
+    "device_name_quote": (lambda doc: doc["devices"][0].update(name='GFL"1'),
+                          "devices[0]: name 'GFL\"1' contains a comma, double quote, CR or LF"),
+    "device_name_cr": (lambda doc: doc["devices"][0].update(name="GFL\r1"),
+                       "devices[0]: name 'GFL\\r1' contains a comma, double quote, CR or LF"),
+    "device_name_lf": (lambda doc: doc["devices"][0].update(name="GFL\n1"),
+                       "devices[0]: name 'GFL\\n1' contains a comma, double quote, CR or LF"),
+    "bus_name_comma": (lambda doc: doc["buses"].append("poc,2"),
+                       "buses: name 'poc,2' contains a comma, double quote, CR or LF"),
+    # 1e15 points is 7.1 PiB, beyond any address space, so allocating fails at once
+    "grid_points_unallocatable": (lambda doc: doc["grid"].update(points=1e15),
+                                  "grid: 1000000000000000 points do not fit in memory"),
+    # numpy sizes 2**63 float64 values with neither a MemoryError nor an allocation
+    "grid_points_unaddressable": (lambda doc: doc["grid"].update(points=2.0**63),
+                                  "grid: 9223372036854775808 points do not fit in memory"),
     "branches_a_number": (lambda doc: doc.update(branches=5), "branches: expected a list"),
     "branches_an_object": (lambda doc: doc.update(branches={"a": 1}), "branches: expected a list"),
 }
