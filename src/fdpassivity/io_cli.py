@@ -256,7 +256,11 @@ def _build_grid(doc, violations) -> np.ndarray | None:
         ppd = _num(grid, "points_per_decade", "grid", violations, positive=True)
         if ppd is None:
             return None
-        points = max(2, round(ppd * math.log10(f_max / f_min)) + 1)
+        count = ppd * math.log10(f_max / f_min)
+        if not count < sys.maxsize:  # round() of an infinite count raises
+            violations.append(f"grid: {ppd!r} points per decade do not fit in memory")
+            return None
+        points = max(2, round(count) + 1)
     if points < 2:
         violations.append("grid.points: need at least 2")
         return None
@@ -423,12 +427,14 @@ def _param_of(owner, models):
     return check
 
 
-def _number(expected, ok=lambda value, done: True):
-    """Finite JSON number for which ok(value, done) holds."""
+def _number(expected, ok=lambda value, done: True, *more):
+    """Finite JSON number for which ok(value, done) holds, else expected;
+    more are further (expected, ok) rules, checked in turn after it."""
     def check(value, done, network):
         finite = (not isinstance(value, bool) and isinstance(value, (int, float))
                   and _finite(value) is not None)
-        return None if finite and ok(value, done) else expected
+        rules = [(expected, lambda v, d: finite and ok(v, d)), *more]
+        return next((text for text, holds in rules if not holds(value, done)), None)
     return check
 
 
@@ -446,11 +452,13 @@ def _run_device_sens(sc: Scenario, opts, freqs):
     param, delta_pct = opts["param"], float(opts["delta_pct"])
     rho = model.get_param(param)
     delta = rho * delta_pct / 100.0 if rho != 0 else delta_pct / 100.0
-    pred = passivity.first_order_prediction(model, param, sc.omegas, delta)
+    sens = passivity.param_passivity_sensitivity(model, param, sc.omegas)
+    # the exact column re-evaluates the shifted model, never the linearization
+    exact = passivity.index_sweep(model.with_param(param, rho + delta), sc.omegas)
     label = f"{delta_pct:g}".replace("-", "m").replace(".", "p")
     rows = np.column_stack([
-        freqs, pred.base, (pred.predicted - pred.base) / pred.delta,
-        pred.predicted, pred.actual,
+        freqs, sens.indices, sens.derivatives,
+        sens.indices + delta * sens.derivatives, exact.indices,
     ])
     return [ResultTable(
         f"device_sens_{opts['device']}_{param}",
@@ -588,10 +596,14 @@ _ANALYSIS_TABLE = {
                       _run_fdpf),
     "modes": _Analysis((
         _Option("re_min", _number("a number"), -500.0),
-        _Option("re_max", _number("a number above re_min",
-                                  lambda v, done: "re_min" not in done or v > done["re_min"]),
-                200.0),
-        _Option("f_max_hz", _number("a positive number", lambda v, done: v > 0), 500.0),
+        _Option("re_max", _number(
+            "a number above re_min", lambda v, done: "re_min" not in done or v > done["re_min"],
+            ("a number with re_max - re_min finite",
+             lambda v, done: "re_min" not in done or math.isfinite(v - done["re_min"]))), 200.0),
+        _Option("f_max_hz", _number(
+            "a positive number", lambda v, done: v > 0,
+            ("a number with 2*pi*f_max_hz finite", lambda v, done: math.isfinite(2 * math.pi * v))),
+            500.0),
     ), _run_modes, _modes_summary),
 }
 

@@ -31,7 +31,7 @@ evaluate every component admittance once per chunk of their grid
 (passivity.frequency_chunks); the chunk's blocks only scatter those values
 into Y_n and solve.  nodal_passivity_sweep solves eigenpairs, for the
 sensitivities and participations; nodal_index_sweep solves eigenvalues
-alone, in blocks large enough for the solves to overlap (_index_blocks).
+alone, in blocks large enough for the solves to overlap (eigenvalue_blocks).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .numerics import hermitian_eigen, hermitian_eigenvalues, inverse  # noqa: F
 from .passivity import (
     IndexSweep,
     SensitivitySeries,
+    eigenvalue_blocks,
     frequency_blocks,
     frequency_chunks,
     hermitian_part,
@@ -311,28 +312,6 @@ class NodalSpectrum(IndexSweep):
     degenerate: np.ndarray   # (M,) bool
 
 
-# numpy (2.4) releases the GIL around a stacked eigvalsh only when rows x n
-# exceeds this many elements, so index blocks hold at least
-# EIGVALSH_GIL_ELEMENTS // n + 1 rows: 7 at n = 80.  On 400 random 80x80
-# Hermitian matrices with one BLAS thread, blocks of 5 or 6 took 0.29-0.35 s
-# on 1 worker and 0.32-0.52 s on 2, blocks of 7 or more 0.16-0.18 s on 2;
-# at n = 20 the switch lies between 25 and 26 rows.  eigh overlaps at any
-# block size, so the eigenpair sweep keeps frequency_blocks.
-EIGVALSH_GIL_ELEMENTS = 500
-
-
-def _index_blocks(points: int, n: int) -> list[slice]:
-    """frequency_blocks, or, where those hold fewer rows than eigvalsh
-    needs to release the GIL, that many rows or more: the grid split
-    evenly into as many blocks as fit the floor (one if it does not)."""
-    floor = EIGVALSH_GIL_ELEMENTS // n + 1
-    blocks = frequency_blocks(points, n)
-    if blocks[0].stop - blocks[0].start >= floor:
-        return blocks
-    count = max(1, points // floor)
-    return [slice(k * points // count, (k + 1) * points // count) for k in range(count)]
-
-
 def _sweep_blocks(network: Network, omegas: np.ndarray, solve, blocks) -> tuple[np.ndarray, ...]:
     """solve(H) on every block of H_n = Y_n + Y_n^dagger over omegas, its
     per-block tuples of arrays joined field by field.
@@ -385,7 +364,7 @@ def nodal_index_sweep(network: Network, omegas) -> IndexSweep:
         values = hermitian_eigenvalues(h)
         return values[:, 0], values[:, 1] - values[:, 0]
 
-    indices, gaps = _sweep_blocks(network, omegas, solve, _index_blocks)
+    indices, gaps = _sweep_blocks(network, omegas, solve, eigenvalue_blocks)
     return IndexSweep(omegas=omegas, indices=indices, eigen_gaps=gaps)
 
 

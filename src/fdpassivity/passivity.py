@@ -18,8 +18,9 @@ Every sweep evaluates its grid in fixed-size blocks of frequencies: each
 block is one stacked admittance evaluation and one batched eigensolve,
 and parallel_map spreads the blocks over worker threads.  The nodal sweep
 maps larger chunks (frequency_chunks): each evaluates its component
-admittances once, then solves block by block.  Block and chunk sizes do
-not depend on the worker count, so results are the same bits for any.
+admittances once, then solves block by block; eigenvalue-only solves
+take blocks big enough to overlap (eigenvalue_blocks).  No size depends
+on the worker count, so results are the same bits for any.
 """
 
 from __future__ import annotations
@@ -49,6 +50,28 @@ def frequency_blocks(points: int, n: int) -> list[slice]:
     """Consecutive slices covering a grid of points for n x n matrices."""
     size = max(1, BLOCK_BYTES // (16 * n * n))
     return [slice(k, k + size) for k in range(0, max(points, 1), size)]
+
+
+# numpy (2.4) releases the GIL around a stacked eigvalsh or eigvals only
+# when rows x n exceeds this many elements, so values-only blocks hold at
+# least EIGVALSH_GIL_ELEMENTS // n + 1 rows: 7 at n = 80.  On 400 random
+# 80x80 Hermitian matrices with one BLAS thread, blocks of 5 or 6 took
+# 0.29-0.35 s on 1 worker and 0.32-0.52 s on 2, blocks of 7 or more
+# 0.16-0.18 s on 2; at n = 20 the switch lies between 25 and 26 rows.  eigh
+# overlaps at any block size, so eigenpair sweeps keep frequency_blocks.
+EIGVALSH_GIL_ELEMENTS = 500
+
+
+def eigenvalue_blocks(points: int, n: int) -> list[slice]:
+    """frequency_blocks, or, where those hold fewer rows than a values-only
+    eigensolve needs to release the GIL, that many rows or more: the grid
+    split evenly into as many blocks as fit the floor (one if it does not)."""
+    floor = EIGVALSH_GIL_ELEMENTS // n + 1
+    blocks = frequency_blocks(points, n)
+    if blocks[0].stop - blocks[0].start >= floor:
+        return blocks
+    count = max(1, points // floor)
+    return [slice(k * points // count, (k + 1) * points // count) for k in range(count)]
 
 
 def frequency_chunks(points: int, point_bytes: int) -> list[slice]:
@@ -130,22 +153,6 @@ class SensitivitySeries(NamedTuple):
         return self.omegas / (2.0 * math.pi)
 
 
-class PredictionCurves(NamedTuple):
-    """First-order index prediction against a re-evaluated perturbed model."""
-
-    param_name: str
-    delta: float
-    omegas: np.ndarray
-    base: np.ndarray       # index at the nominal parameter
-    predicted: np.ndarray  # base + delta * d(index)/d(rho)
-    actual: np.ndarray     # index with the parameter shifted by delta
-    degenerate: np.ndarray
-
-    @property
-    def freqs_hz(self) -> np.ndarray:
-        return self.omegas / (2.0 * math.pi)
-
-
 def index_sweep(model: DeviceModel, omegas) -> IndexSweep:
     """Evaluate the passivity index across a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
@@ -183,24 +190,4 @@ def param_passivity_sensitivity(model: DeviceModel, param_name: str, omegas) -> 
         indices=idx,
         derivatives=d,
         degenerate=degenerate,
-    )
-
-
-def first_order_prediction(model: DeviceModel, param_name: str, omegas, delta: float) -> PredictionCurves:
-    """Compare base + delta * derivative against a re-evaluated model.
-
-    The actual curve comes from a genuinely perturbed model (parameter
-    shifted by delta), never from the linearization itself.
-    """
-    sens = param_passivity_sensitivity(model, param_name, omegas)
-    shifted = model.with_param(param_name, model.get_param(param_name) + delta)
-    actual = index_sweep(shifted, sens.omegas)
-    return PredictionCurves(
-        param_name=param_name,
-        delta=delta,
-        omegas=sens.omegas,
-        base=sens.indices,
-        predicted=sens.indices + delta * sens.derivatives,
-        actual=actual.indices,
-        degenerate=sens.degenerate,
     )

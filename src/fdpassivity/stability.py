@@ -15,8 +15,8 @@ Four instruments, all driven by the same network description:
   determinant), plus a seeded scan that harvests distinct modes from a
   region of the complex plane.
 
-GNC evaluates its grid in the fixed-size frequency blocks of the passivity
-sweeps (passivity.frequency_blocks): one stacked loop gain and one batched
+GNC evaluates its grid in the blocks of the values-only passivity sweeps
+(passivity.eigenvalue_blocks): one stacked loop gain and one batched
 eigenvalue solve (no eigenvectors) per block, spread over worker threads
 by parallel_map, with the same bits for any worker count.  gnc_auto
 refines on nested grids, so each doubling solves only its new points.
@@ -60,7 +60,7 @@ from .errors import (
 )
 from .network import Network, assemble_devices, assemble_net, assemble_nodal
 from .numerics import adjugate, determinant, eigenvalues, general_eigen, inverse
-from .passivity import frequency_blocks, log_omega_grid
+from .passivity import eigenvalue_blocks, frequency_blocks, log_omega_grid
 
 CRITICAL = -1.0 + 0.0j
 
@@ -162,7 +162,7 @@ def _loop_gain_eigenvalues(network: Network, omegas: np.ndarray) -> np.ndarray:
     loop gain and one stacked eigenvalue solve per frequency block."""
     return np.concatenate(parallel_map(
         lambda rows: eigenvalues(loop_gain(network, 1j * omegas[rows])),
-        frequency_blocks(omegas.size, 2 * network.n_buses)))
+        eigenvalue_blocks(omegas.size, 2 * network.n_buses)))
 
 
 def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerdict]:

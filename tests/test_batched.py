@@ -67,6 +67,7 @@ from fdpassivity.numerics import (
     inverse,
 )
 from fdpassivity.passivity import (
+    eigenvalue_blocks,
     frequency_blocks,
     frequency_chunks,
     hermitian_part,
@@ -360,13 +361,25 @@ def test_index_blocks_hold_enough_rows_to_release_the_gil(monkeypatch, ladder):
     assert sum(shape[0] for shape in rows) == ladder.omegas.size
     assert min(shape[0] for shape in rows) >= 7  # 500 // 80 + 1
     for points in (0, 1, 5, 6, 7, 13, 40, 41, 400):
-        sizes = [len(range(points)[b]) for b in network._index_blocks(points, 80)]
+        sizes = [len(range(points)[b]) for b in eigenvalue_blocks(points, 80)]
         assert sum(sizes) == points
         assert min(sizes) >= min(points, 7)
     # where frequency_blocks already hold enough rows, they are kept
     for n in (2, 6, 12, 20):
         for points in (0, 1, 25, 26, 81, 100, 400):
-            assert network._index_blocks(points, n) == frequency_blocks(points, n)
+            assert eigenvalue_blocks(points, n) == frequency_blocks(points, n)
+
+
+def test_gnc_blocks_hold_enough_rows_to_release_the_gil(monkeypatch, ladder):
+    monkeypatch.setenv("PASSIVITY_THREADS", "1")
+    rows = []
+    solve = stability.eigenvalues
+    monkeypatch.setattr(stability, "eigenvalues", lambda a: rows.append(a.shape) or solve(a))
+    values = stability._loop_gain_eigenvalues(ladder.network, ladder.omegas)
+    assert values.shape == (ladder.omegas.size, 80)
+    assert {shape[1:] for shape in rows} == {(80, 80)}
+    assert sum(shape[0] for shape in rows) == ladder.omegas.size
+    assert min(shape[0] for shape in rows) >= 7  # 500 // 80 + 1
 
 
 def complex_normal(rng, shape):
@@ -467,7 +480,8 @@ def test_multi_block_gnc_same_bits_for_any_thread_count(monkeypatch):
     om = log_omega_grid(0.01, 1e4, 800)
     whole_loci, whole_verdict = gnc(net, om)
     monkeypatch.setattr(passivity, "BLOCK_BYTES", 64 * 100)  # 100 2x2 matrices a block
-    assert len(frequency_blocks(om.size, 2 * net.n_buses)) == 8
+    monkeypatch.setattr(passivity, "EIGVALSH_GIL_ELEMENTS", 0)  # and no row floor
+    assert len(eigenvalue_blocks(om.size, 2 * net.n_buses)) == 8
     for threads in ("1", "2"):
         monkeypatch.setenv("PASSIVITY_THREADS", threads)
         loci, verdict = gnc(net, om)
@@ -481,6 +495,7 @@ def test_gnc_calls_loop_gain_once_per_block(monkeypatch):
     monkeypatch.setattr(stability, "loop_gain",
                         lambda net, s: sizes.append(np.size(s)) or loop_gain(net, s))
     monkeypatch.setattr(passivity, "BLOCK_BYTES", 64 * 100)
+    monkeypatch.setattr(passivity, "EIGVALSH_GIL_ELEMENTS", 0)
     gnc(make_single_gfl(), log_omega_grid(0.01, 1e4, 800))
     assert sizes == [100] * 8
 

@@ -41,7 +41,7 @@ from fdpassivity.network import (
     nodal_passivity_sweep,
     participation_sweep,
 )
-from fdpassivity.passivity import first_order_prediction, index_sweep
+from fdpassivity.passivity import index_sweep, param_passivity_sensitivity
 from fdpassivity.stability import fd_pf, gnc_auto, mode_scan
 
 from conftest import WB
@@ -211,15 +211,35 @@ def test_run_device_sens_contract(single_gfl_scenario):
     assert table.columns == ("freq_hz", "index", "d_index",
                              "predicted_after_5pct", "exact_after_5pct")
     model = single_gfl_scenario.network.devices[0].model
+    om = single_gfl_scenario.omegas
     # byte-exact cross-check: mirror the runner's delta arithmetic
-    delta = model.get_param("k_p_pll") * 5.0 / 100.0
-    pred = first_order_prediction(model, "k_p_pll", single_gfl_scenario.omegas, delta)
-    assert np.array_equal(table.rows[:, 1], pred.base)
-    assert np.array_equal(table.rows[:, 3], pred.predicted)
-    assert np.array_equal(table.rows[:, 4], pred.actual)
+    rho = model.get_param("k_p_pll")
+    delta = rho * 5.0 / 100.0
+    sens = param_passivity_sensitivity(model, "k_p_pll", om)
+    assert np.array_equal(table.rows[:, 1], sens.indices)
+    assert np.array_equal(table.rows[:, 2], sens.derivatives)
+    assert np.array_equal(table.rows[:, 3], sens.indices + delta * sens.derivatives)
+    exact = index_sweep(model.with_param("k_p_pll", rho + delta), om)
+    assert np.array_equal(table.rows[:, 4], exact.indices)
     # d_index column is the derivative: base + delta * d_index == predicted
     assert np.allclose(table.rows[:, 1] + delta * table.rows[:, 2],
                        table.rows[:, 3], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("delta_pct", [5.0, 1e-8])
+def test_device_sens_d_index_is_the_computed_derivative(single_gfl_scenario, delta_pct):
+    # d_index is the sensitivity sweep's derivative to the bit, not a
+    # difference quotient of the prediction, which at a 1e-8 % step would
+    # lose about 1% of it to cancellation
+    opts = {"device": "GFL-1", "param": "k_p_pll", "delta_pct": delta_pct}
+    sc = single_gfl_scenario._replace(analyses={"device-sens": opts})
+    (table,) = run(sc, "device-sens")
+    model = sc.network.devices[0].model
+    sens = param_passivity_sensitivity(model, "k_p_pll", sc.omegas)
+    assert not np.any(sens.degenerate)
+    assert np.array_equal(table.rows[:, 2], sens.derivatives)
+    delta = model.get_param("k_p_pll") * delta_pct / 100.0
+    assert np.array_equal(table.rows[:, 3], sens.indices + delta * sens.derivatives)
 
 
 def test_run_nodal_passivity_includes_standalone_columns(three_bus_scenario):
@@ -1037,6 +1057,17 @@ BAD_VALUES = {
     # numpy sizes 2**63 float64 values with neither a MemoryError nor an allocation
     "grid_points_unaddressable": (lambda doc: doc["grid"].update(points=2.0**63),
                                   "grid: 9223372036854775808 points do not fit in memory"),
+    # 1e308 per decade over three decades overflows to an infinite count
+    "grid_points_per_decade_overflow": (
+        lambda doc: doc.update(grid={"f_min_hz": 1, "f_max_hz": 1000, "points_per_decade": 1e308}),
+        "grid: 1e+308 points per decade do not fit in memory"),
+    # ranges whose size overflows would seed the scan with NaN and find nothing
+    "modes_f_max_overflow": (
+        _set_option("modes", "f_max_hz", 1e308),
+        "analyses.modes.f_max_hz: expected a number with 2*pi*f_max_hz finite"),
+    "modes_re_span_overflow": (
+        lambda doc: doc["analyses"]["modes"].update(re_min=-1e308, re_max=1e308),
+        "analyses.modes.re_max: expected a number with re_max - re_min finite"),
     "branches_a_number": (lambda doc: doc.update(branches=5), "branches: expected a list"),
     "branches_an_object": (lambda doc: doc.update(branches={"a": 1}), "branches: expected a list"),
 }

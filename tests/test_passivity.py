@@ -1,4 +1,5 @@
-"""Passivity index, its parameter sensitivity, and first-order prediction."""
+"""Passivity index, its parameter sensitivity, and first-order prediction
+from it."""
 
 import math
 
@@ -8,7 +9,6 @@ import pytest
 from fdpassivity.devices import RlBranch, ShuntCapacitor, param_derivative
 from fdpassivity.numerics import hermitian_eigen
 from fdpassivity.passivity import (
-    first_order_prediction,
     hermitian_part,
     index_sweep,
     is_degenerate,
@@ -164,21 +164,25 @@ def test_first_order_prediction_shrinks_quadratically(gfl_model):
     sens = param_passivity_sensitivity(gfl_model, "k_p_pll", om)
     err = []
     for delta in (0.04 * rho, 0.02 * rho):
-        curves = first_order_prediction(gfl_model, "k_p_pll", om, delta)
-        assert np.allclose(curves.predicted, sens.indices + delta * sens.derivatives,
-                           rtol=0, atol=1e-14)
-        err.append(np.max(np.abs(curves.predicted - curves.actual)))
+        predicted = sens.indices + delta * sens.derivatives
+        actual = index_sweep(gfl_model.with_param("k_p_pll", rho + delta), om).indices
+        err.append(np.max(np.abs(predicted - actual)))
     # first-order remainder: halving the step should shrink the gap ~4x
     assert err[1] <= err[0] / 2.5
 
 
 def test_first_order_prediction_actual_is_reevaluated(gfl_model):
     om = log_omega_grid(5.0, 500.0, 15)
-    delta = 0.05 * gfl_model.get_param("l_c")
-    curves = first_order_prediction(gfl_model, "l_c", om, delta)
-    shifted = gfl_model.with_param("l_c", gfl_model.get_param("l_c") + delta)
-    ref = index_sweep(shifted, om)
-    assert np.array_equal(curves.actual, ref.indices)
-    assert np.array_equal(curves.base, index_sweep(gfl_model, om).indices)
-    assert curves.delta == delta
-    assert curves.param_name == "l_c"
+    rho = gfl_model.get_param("l_c")
+    delta = 0.05 * rho
+    shifted = gfl_model.with_param("l_c", rho + delta)
+    # a new model with l_c moved; the nominal one is left as it was
+    assert shifted.get_param("l_c") == rho + delta
+    assert gfl_model.get_param("l_c") == rho
+    actual = index_sweep(shifted, om).indices
+    sens = param_passivity_sensitivity(gfl_model, "l_c", om)
+    assert np.array_equal(sens.indices, index_sweep(gfl_model, om).indices)
+    assert sens.param_name == "l_c"
+    # the re-evaluated index differs from the first-order prediction by the
+    # second-order remainder, which is not zero
+    assert not np.array_equal(actual, sens.indices + delta * sens.derivatives)

@@ -13,14 +13,12 @@ import pytest
 from fdpassivity.io_cli import PlotSpec, Scenario
 from fdpassivity.network import Branch, ComponentRef, Device, ParticipationTable, Shunt, _Part
 from fdpassivity.numerics import GeneralEigen, HermitianEigen
-from fdpassivity.passivity import PredictionCurves, SensitivitySeries
+from fdpassivity.passivity import SensitivitySeries
 
 FIELDS = {
     HermitianEigen: ("values", "vectors"),
     GeneralEigen: ("values", "right", "left", "defective"),
     SensitivitySeries: ("param_name", "omegas", "indices", "derivatives", "degenerate"),
-    PredictionCurves: ("param_name", "delta", "omegas", "base", "predicted", "actual",
-                       "degenerate"),
     Branch: ("from_bus", "to_bus", "model"),
     Shunt: ("bus", "model"),
     Device: ("bus", "name", "model"),
@@ -80,7 +78,7 @@ def test_hermitian_eigen_properties():
     assert scalar.eigen_gap == 0.0 and np.ndim(scalar.eigen_gap) == 0
 
 
-@pytest.mark.parametrize("cls", [SensitivitySeries, PredictionCurves, ParticipationTable],
+@pytest.mark.parametrize("cls", [SensitivitySeries, ParticipationTable],
                          ids=lambda cls: cls.__name__)
 def test_freqs_hz_is_omegas_over_two_pi(cls):
     fields = {name: None for name in FIELDS[cls]}
