@@ -564,7 +564,9 @@ def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:
     s is a scalar or a 1-D array, as for admittance; the four perturbed
     models are each evaluated once on all of it.  Step
     h = max(|rho|, 1) * 1e-6; the h and h/2 estimates combine as
-    (4 D(h/2) - D(h)) / 3, cancelling the leading truncation term.
+    (4 D(h/2) - D(h)) / 3, cancelling the leading truncation term.  Where
+    rho - h is outside the model's range (r = 0 of an RL element), the
+    forward differences D+ combine as 2 D+(h/2) - D+(h), which cancels it too.
     """
     if not model.param_names():
         raise NotDifferentiableError(f"{model.kind} model is not differentiable in parameters")
@@ -576,7 +578,14 @@ def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:
         y_minus = model.with_param(param_name, rho - step).admittance(s)
         return (y_plus - y_minus) / (2.0 * step)
 
-    d = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    try:
+        model.with_param(param_name, rho - h)
+    except ValueError:
+        y = model.admittance(s)
+        forward = lambda step: (model.with_param(param_name, rho + step).admittance(s) - y) / step
+        d = 2.0 * forward(h / 2.0) - forward(h)
+    else:
+        d = (4.0 * central(h / 2.0) - central(h)) / 3.0
     bad = np.ravel(~(np.isfinite(d.real) & np.isfinite(d.imag)).all(axis=(-2, -1)))
     if np.any(bad):
         raise NonFiniteError(

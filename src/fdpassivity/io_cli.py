@@ -58,14 +58,14 @@ from .errors import (
     ValidationFailure,
 )
 
-# kind -> (model class, the dataclass whose fields are its "params",
-#          params that must be positive).  A converter's op is parsed apart.
+# kind -> (model class, the dataclass whose fields are its "params").  A
+#   converter's op is parsed apart.  The models check their own ranges.
 _MODELS = {
-    "rl": (RlBranch, RlBranch, ()),
-    "shunt_c": (ShuntCapacitor, ShuntCapacitor, ("b",)),
-    "thevenin": (TheveninGrid, TheveninGrid, ("scr", "xr_ratio")),
-    "gfl_l1": (GflConverterL1, GflParams, ()),
-    "gfm_l1": (GfmConverterL1, GfmParams, ()),
+    "rl": (RlBranch, RlBranch),
+    "shunt_c": (ShuntCapacitor, ShuntCapacitor),
+    "thevenin": (TheveninGrid, TheveninGrid),
+    "gfl_l1": (GflConverterL1, GflParams),
+    "gfm_l1": (GfmConverterL1, GfmParams),
 }
 _MODEL_KINDS = (*_MODELS, "blackbox")
 
@@ -159,14 +159,14 @@ def _reject_unknown(given, known, ctx, what, violations):
                 f"{name}: unknown {what} (known: {', '.join(sorted(known)) or 'none'})")
 
 
-def _read_fields(given, table, positive, ctx, what, violations) -> dict | None:
+def _read_fields(given, table, ctx, what, violations) -> dict | None:
     """The numbers a JSON object gives for the names of table (name ->
-    required): an optional name may be left out; the names in positive
-    must be positive; an unknown key (a "parameter" or a "field") and a bad
-    value are violations, and any violation gives None."""
+    required): an optional name may be left out; an unknown key (a
+    "parameter" or a "field") and a bad value are violations, and any
+    violation gives None."""
     before = len(violations)
     _reject_unknown(given, table, ctx, what, violations)
-    values = {name: _num(given, name, ctx, violations, positive=name in positive)
+    values = {name: _num(given, name, ctx, violations)
               for name, required in table.items() if required or name in given}
     return values if len(violations) == before else None
 
@@ -187,19 +187,19 @@ def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceM
                 violations.append(f"{ctx}.params: a blackbox model takes no parameters")
             rel = _str(doc, "path", ctx, violations)
             return None if rel is None else read_blackbox_table(base_dir / rel)
-        cls, source, positive = _MODELS[kind]
+        cls, source = _MODELS[kind]
         given, values = doc.get("params", {}), None
         if isinstance(given, dict):
             # every field of source but omega_b; one without a default is required
             table = {f.name: f.default is MISSING for f in fields(source) if f.name != "omega_b"}
-            values = _read_fields(given, table, positive, f"{ctx}.params", "parameter", violations)
+            values = _read_fields(given, table, f"{ctx}.params", "parameter", violations)
         else:
             violations.append(f"{ctx}.params: expected an object")
         if source is cls:
             return None if values is None else cls(**values, omega_b=omega_b)
         given, op = doc.get("op"), None
         if isinstance(given, dict):
-            op = _read_fields(given, _OP_FIELDS, ("v",), f"{ctx}.op", "field", violations)
+            op = _read_fields(given, _OP_FIELDS, f"{ctx}.op", "field", violations)
         else:
             violations.append(f"{ctx}: converter models need an \"op\" object with p, q, v")
         if values is None or op is None:
@@ -323,7 +323,7 @@ def load_scenario(path) -> Scenario:
 
     bus_set = set(buses)
     found = {}  # section -> (values, model) of each entry
-    for section, (keys, _, _) in net.SECTIONS.items():
+    for section, (keys, *_) in net.SECTIONS.items():
         found[section], seen = [], set()
         entries = doc.get(section, [])
         if not isinstance(entries, list):
@@ -346,10 +346,13 @@ def load_scenario(path) -> Scenario:
         standalone = False
 
     network = None
-    if not violations:  # so the network breaks none of its rules: they were checked above
-        network = net.Network(buses=buses, **{
-            section: [cls(*entry) for entry in found[section]]
-            for section, (_, cls, _) in net.SECTIONS.items()})
+    if not violations:  # so of Network's rules, only unique component names are unchecked
+        try:
+            network = net.Network(buses=buses, **{
+                section: [cls(*entry) for entry in found[section]]
+                for section, (_, cls, *_) in net.SECTIONS.items()})
+        except ValueError as exc:
+            violations.append(str(exc))
 
     analyses = doc.get("analyses", {})
     resolved = {}
@@ -400,30 +403,23 @@ def _resolve_options(declared, opts, ctx, network, violations) -> dict:
     return done
 
 
-def _devices(network) -> dict[str, DeviceModel]:
-    return {d.name: d.model for d in network.devices}
-
-
-def _components(network) -> dict[str, DeviceModel]:
-    return {ref.name: ref.model for ref in net.components(network)}
-
-
 def _one_of(names, value):
     names = sorted(names)
     return None if value in names else f"one of {names}, got {value!r}"
 
 
-def _named(models):
-    """Option naming one of the models that models(network) maps by name."""
-    return lambda value, done, network: _one_of(models(network), value)
+def _named(*kinds):
+    """Option naming a component of one of the kinds."""
+    return lambda value, done, network: _one_of(
+        [ref.name for ref in net.components(network) if ref.kind in kinds], value)
 
 
-def _param_of(owner, models):
-    """Option naming a parameter of the model that option owner names."""
+def _param_of(owner):
+    """Option naming a parameter of the component that option owner names."""
     def check(value, done, network):
         if owner not in done:
             return None  # owner's own violation already reported
-        return _one_of(models(network)[done[owner]].param_names(), value)
+        return _one_of(net.component(network, done[owner]).model.param_names(), value)
     return check
 
 
@@ -438,23 +434,41 @@ def _number(expected, ok=lambda value, done: True, *more):
     return check
 
 
+def _shifted(model, param, delta_pct):
+    """device-sens's step in param, delta_pct percent of its value (of 1
+    where it is 0), and the model with param moved by it."""
+    rho = model.get_param(param)
+    delta = (rho or 1.0) * delta_pct / 100.0
+    return delta, model.with_param(param, rho + delta)
+
+
+def _delta_pct(value, done, network):
+    """device-sens's step: a nonzero number that the model's range allows."""
+    expected = _number("a nonzero number", lambda v, done: v != 0)(value, done, network)
+    if expected is None and {"device", "param"} <= done.keys():
+        try:
+            _shifted(net.component(network, done["device"]).model, done["param"], value)
+        except ValueError as exc:
+            return f"a step the model accepts, got {value!r}: {exc}"
+    return expected
+
+
 # --- analyses ---------------------------------------------------------------
 
 def _run_device_passivity(sc: Scenario, opts, freqs):
-    sweep = passivity.index_sweep(_devices(sc.network)[opts["device"]], sc.omegas)
+    sweep = passivity.index_sweep(net.component(sc.network, opts["device"]).model, sc.omegas)
     rows = np.column_stack([freqs, sweep.indices, sweep.eigen_gaps])
     return [ResultTable(f"device_passivity_{opts['device']}",
                         ("freq_hz", "index", "eigen_gap"), rows)]
 
 
 def _run_device_sens(sc: Scenario, opts, freqs):
-    model = _devices(sc.network)[opts["device"]]
+    model = net.component(sc.network, opts["device"]).model
     param, delta_pct = opts["param"], float(opts["delta_pct"])
-    rho = model.get_param(param)
-    delta = rho * delta_pct / 100.0 if rho != 0 else delta_pct / 100.0
+    delta, shifted = _shifted(model, param, delta_pct)
     sens = passivity.param_passivity_sensitivity(model, param, sc.omegas)
     # the exact column re-evaluates the shifted model, never the linearization
-    exact = passivity.index_sweep(model.with_param(param, rho + delta), sc.omegas)
+    exact = passivity.index_sweep(shifted, sc.omegas)
     label = f"{delta_pct:g}".replace("-", "m").replace(".", "p")
     rows = np.column_stack([
         freqs, sens.indices, sens.derivatives,
@@ -579,16 +593,16 @@ class _Analysis(NamedTuple):
 
 
 _ANALYSIS_TABLE = {
-    "device-passivity": _Analysis((_Option("device", _named(_devices)),), _run_device_passivity),
+    "device-passivity": _Analysis((_Option("device", _named("device")),), _run_device_passivity),
     "device-sens": _Analysis((
-        _Option("device", _named(_devices)),
-        _Option("param", _param_of("device", _devices)),
-        _Option("delta_pct", _number("a nonzero number", lambda v, done: v != 0), 5.0),
+        _Option("device", _named("device")),
+        _Option("param", _param_of("device")),
+        _Option("delta_pct", _delta_pct, 5.0),
     ), _run_device_sens),
     "nodal-passivity": _Analysis((), _run_nodal_passivity),
     "nodal-sens": _Analysis((
-        _Option("component", _named(_components)),
-        _Option("param", _param_of("component", _components)),
+        _Option("component", _named("device", "branch", "shunt")),
+        _Option("param", _param_of("component")),
     ), _run_nodal_sens),
     "participation": _Analysis((), _run_participation),
     "gnc": _Analysis((), _run_gnc, _gnc_summary),

@@ -84,13 +84,15 @@ class Device(NamedTuple):
 
 
 # section -> (the string keys of its entries in a scenario, in field order;
-#   its class, made from their values and then the model; the message for
-#   an entry's last value repeating an earlier entry's, or None for a
-#   branch, whose two ends must differ instead)
+#   its class, made from their values and then the model, and named like
+#   its components' kind; the message for an entry's last value repeating
+#   an earlier entry's, or None for a branch, whose two ends must differ
+#   instead; its components' name, made from those values and n, the
+#   entry's count among the section's entries with the same values)
 SECTIONS = {
-    "branches": (("from", "to"), Branch, None),
-    "shunts": (("bus",), Shunt, "more than one shunt at bus {!r}; merge them"),
-    "devices": (("bus", "name"), Device, "duplicate device name {!r}"),
+    "branches": (("from", "to"), Branch, None, "{0}-{1}#{n}"),
+    "shunts": (("bus",), Shunt, "more than one shunt at bus {!r}; merge them", "sh@{0}"),
+    "devices": (("bus", "name"), Device, "duplicate device name {!r}", "{1}"),
 }
 
 
@@ -111,7 +113,7 @@ def entry_problems(section: str, values, buses, seen: set) -> list[tuple[type, s
     each as (error class, message).  values are the entry's strings in
     SECTIONS key order, None where one did not parse; no bus is unknown
     when buses is empty; seen holds the last values of earlier entries."""
-    keys, _, repeated = SECTIONS[section]
+    keys, _, repeated, _ = SECTIONS[section]
     problems = [(UnknownBusError, f"unknown bus {v!r}") for k, v in zip(keys, values)
                 if k != "name" and v is not None and buses and v not in buses]
     last = values[-1]
@@ -160,16 +162,16 @@ class _Part(NamedTuple):
     rounds: tuple
 
     @classmethod
-    def of(cls, n_buses: int, placed) -> "_Part":
-        """placed: (model, bus i, bus j or None).  A shunt adds Y at block
-        (i, i); a series element adds Y at (i, i) and (j, j) and -Y at
-        (i, j) and (j, i)."""
-        evaluators = combine([m for m, _, _ in placed])
+    def of(cls, n_buses: int, refs) -> "_Part":
+        """A shunt-connected component adds Y at block (i, i); a branch
+        adds Y at (i, i) and (j, j) and -Y at (i, j) and (j, i)."""
+        evaluators = combine([ref.model for ref in refs])
         slot = {k: n for n, k in enumerate(k for _, ks, _ in evaluators for k in ks)}
         n, rounds, count = 2 * n_buses, {}, {}
-        for k, (_, i, j) in enumerate(placed):
-            blocks = [(i, i, np.add)] if j is None else [(i, i, np.add), (j, j, np.add),
-                                                        (i, j, np.subtract), (j, i, np.subtract)]
+        for k, ref in enumerate(refs):
+            i, j = ref.buses[0], ref.buses[-1]  # a branch's two ends differ
+            blocks = [(i, i, np.add)] if i == j else [(i, i, np.add), (j, j, np.add),
+                                                      (i, j, np.subtract), (j, i, np.subtract)]
             for row, col, op in blocks:
                 for p in range(2):
                     for q in range(2):
@@ -187,10 +189,10 @@ class _Part(NamedTuple):
 class Network:
     """Immutable bus/branch/shunt/device description.
 
-    The bus index of every component is resolved once, here, for
-    assembly to read.  A broken rule raises the message the scenario
-    loader reports for it: UnknownBusError for an unknown bus, ValueError
-    otherwise.
+    Each component's name, bus indices and model are resolved once, here,
+    into the table that components() lists and assembly reads.  A broken
+    rule raises the message the scenario loader reports for it:
+    UnknownBusError for an unknown bus, ValueError otherwise.
     """
 
     buses: tuple[str, ...]
@@ -213,13 +215,24 @@ class Network:
         if problems:
             error, message = problems[0]
             raise error(message)
+        table, owner, count = {}, {}, {}
+        for section in ("devices", "branches", "shunts"):  # the order components() lists
+            keys, cls, _, name = SECTIONS[section]
+            for k, entry in enumerate(getattr(self, section)):
+                values = entry[:-1]
+                count[section, values] = n = count.get((section, values), 0) + 1
+                ref = ComponentRef(name.format(*values, n=n), cls.__name__.lower(),
+                                   tuple(index[v] for key, v in zip(keys, values) if key != "name"),
+                                   entry.model)
+                if ref.name in table:
+                    raise ValueError(f"{owner[ref.name]} and {section}[{k}] "
+                                     f"are both named {ref.name!r}")
+                table[ref.name], owner[ref.name] = ref, f"{section}[{k}]"
         object.__setattr__(self, "_index", index)
-        n = len(self.buses)
-        object.__setattr__(self, "_parts", (  # the order every Y_n entry sums in
-            _Part.of(n, [(br.model, index[br.from_bus], index[br.to_bus]) for br in self.branches]),
-            _Part.of(n, [(sh.model, index[sh.bus], None) for sh in self.shunts]),
-            _Part.of(n, [(dev.model, index[dev.bus], None) for dev in self.devices]),
-        ))
+        object.__setattr__(self, "_components", table)
+        object.__setattr__(self, "_parts", tuple(  # the order every Y_n entry sums in
+            _Part.of(len(self.buses), [ref for ref in table.values() if ref.kind == kind])
+            for kind in ("branch", "shunt", "device")))
 
     @property
     def n_buses(self) -> int:
@@ -236,31 +249,16 @@ def components(network: Network) -> tuple[ComponentRef, ...]:
     """All components in deterministic order: devices, branches, shunts.
 
     Devices keep their declared names; branches are named from-to#k with a
-    per-pair counter; shunts are named sh@bus.
+    per-pair counter; shunts are named sh@bus.  No two share a name.
     """
-    refs = []
-    for dev in network.devices:
-        refs.append(ComponentRef(dev.name, "device", (network.bus_index(dev.bus),), dev.model))
-    pair_count: dict[tuple[str, str], int] = {}
-    for br in network.branches:
-        pair = (br.from_bus, br.to_bus)
-        pair_count[pair] = pair_count.get(pair, 0) + 1
-        name = f"{br.from_bus}-{br.to_bus}#{pair_count[pair]}"
-        refs.append(ComponentRef(
-            name, "branch",
-            (network.bus_index(br.from_bus), network.bus_index(br.to_bus)),
-            br.model,
-        ))
-    for sh in network.shunts:
-        refs.append(ComponentRef(f"sh@{sh.bus}", "shunt", (network.bus_index(sh.bus),), sh.model))
-    return tuple(refs)
+    return tuple(network._components.values())
 
 
 def component(network: Network, name: str) -> ComponentRef:
-    for ref in components(network):
-        if ref.name == name:
-            return ref
-    raise UnknownComponentError(f"no component named {name!r}")
+    try:
+        return network._components[name]
+    except KeyError:
+        raise UnknownComponentError(f"no component named {name!r}") from None
 
 
 def _assemble(network: Network, s, parts, values=None) -> np.ndarray:

@@ -17,7 +17,9 @@ The SVG series paths are checked against a per-sample loop (the package
 maps and formats each series as arrays).  The adjugate is checked against
 cofactor expansion and LU column replacement (the package takes one SVD),
 and branch assembly against the incidence sandwich Inc^T diag(Y_k) Inc
-(the package scatters each branch's 2x2 blocks).
+(the package scatters each branch's 2x2 blocks).  The component table is
+checked against names and bus indices derived section by section (the
+package builds it in one pass over a table of naming formats).
 """
 
 from __future__ import annotations
@@ -343,3 +345,18 @@ def incidence(network) -> np.ndarray:
         inc[2 * k:2 * k + 2, 2 * i:2 * i + 2] = np.eye(2)
         inc[2 * k:2 * k + 2, 2 * j:2 * j + 2] = -np.eye(2)
     return inc
+
+
+def component_refs(network) -> list[tuple]:
+    """(name, kind, bus indices, model) of every component, in the order
+    components() lists them: devices by their own names, branches as
+    from-to#k with a per-pair counter k, shunts as sh@bus."""
+    refs = [(d.name, "device", (network.bus_index(d.bus),), d.model) for d in network.devices]
+    pairs = {}
+    for br in network.branches:
+        pair = (br.from_bus, br.to_bus)
+        pairs[pair] = pairs.get(pair, 0) + 1
+        refs.append((f"{br.from_bus}-{br.to_bus}#{pairs[pair]}", "branch",
+                     (network.bus_index(br.from_bus), network.bus_index(br.to_bus)), br.model))
+    return refs + [(f"sh@{sh.bus}", "shunt", (network.bus_index(sh.bus),), sh.model)
+                   for sh in network.shunts]

@@ -178,6 +178,19 @@ def test_param_derivative_analytic_rl():
     assert np.linalg.norm(d_x - (-(y @ dz @ y))) <= 1e-7 * np.linalg.norm(y @ dz @ y)
 
 
+def test_param_derivative_at_the_bottom_of_the_range():
+    # r = 0 is valid but r - h is not, so the derivative steps up only.
+    # dZ/dr = I gives dY/dr = -Y Y.  The grid stays off 54-66 Hz: a lossless
+    # dq inductor is singular at omega_b, and both sides grow without bound.
+    m = RlBranch(0.0, 0.7, WB)
+    s = 1j * 2 * math.pi * np.concatenate([np.geomspace(1.0, 54.0, 30),
+                                           np.geomspace(66.0, 2000.0, 30)])
+    y = m.admittance(s)
+    exact = -(y @ y)
+    error = np.linalg.norm(param_derivative(m, "r", s) - exact, axis=(1, 2))
+    assert (error <= 1e-6 * np.linalg.norm(exact, axis=(1, 2))).all()
+
+
 def test_param_derivative_homogeneous_capacitor():
     m = ShuntCapacitor(0.4, WB)
     s = 1j * 2 * math.pi * 90

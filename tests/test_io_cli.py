@@ -36,6 +36,8 @@ from fdpassivity.network import (
     Device,
     Network,
     Shunt,
+    component,
+    components,
     nodal_index_sweep,
     nodal_param_sensitivity,
     nodal_passivity_sweep,
@@ -45,7 +47,7 @@ from fdpassivity.passivity import index_sweep, param_passivity_sensitivity
 from fdpassivity.stability import fd_pf, gnc_auto, mode_scan
 
 from conftest import WB
-from oracles import series_path_pointwise
+from oracles import component_refs, series_path_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -551,8 +553,8 @@ EXPECTED_VIOLATIONS = {
     "params": [
         "branches[0].params.r: expected a number, got str",
         "branches[0].params: missing required field 'x'",
-        "shunts[0].params.b: must be positive, got -0.2",
-        "shunts[1].params.scr: must be positive, got 0.0",
+        "shunts[0]: shunt capacitor needs b > 0",
+        "shunts[1]: thevenin grid needs scr > 0 and xr_ratio > 0",
         "devices[0].params.k_pll: unknown parameter (known: k_i_i, k_i_pll, k_i_pq, "
         "k_p_i, k_p_pll, k_p_pq, l_c, r_c, t_i, t_v)",
         "devices[1].kind: unknown model kind 'svc' (known: rl, shunt_c, thevenin, "
@@ -560,8 +562,8 @@ EXPECTED_VIOLATIONS = {
     ],
     "op": [
         'devices[0]: converter models need an "op" object with p, q, v',
+        # v = 0 is the operating point's own rule, checked once p, q and v parse
         "devices[1].op.q: expected a number, got str",
-        "devices[1].op.v: must be positive, got 0.0",
     ],
     "op_unknown_and_missing": [
         "devices[0].op.qq: unknown field (known: p, q, v)",
@@ -628,6 +630,14 @@ def _add_bus(name):
     return lambda doc: doc["buses"].append(name)
 
 
+def _branches_named_alike(doc):
+    # a-b -> c and a -> b-c are both the first branch of their pair: a-b-c#1
+    doc["buses"] = ["a-b", "c", "a", "b-c"]
+    doc["shunts"], doc["devices"] = [], []
+    _add("branches", **{"from": "a-b", "to": "c"})(doc)
+    _add("branches", **{"from": "a", "to": "b-c"})(doc)
+
+
 # each malformed topology -> (the error class Network raises for its first
 #   violation, one edit of minimal_doc per violation)
 TOPOLOGY_CASES = {
@@ -642,6 +652,9 @@ TOPOLOGY_CASES = {
     "bus_name_quote": (ValueError, _add_bus('b"2')),
     "device_name_cr": (ValueError, _add("devices", bus="b1", name="d\r2")),
     "device_name_lf": (ValueError, _add("devices", bus="b1", name="d\n2")),
+    # a name means one component
+    "device_named_like_a_shunt": (ValueError, _add("devices", bus="b1", name="sh@b1")),
+    "branches_named_alike": (ValueError, _branches_named_alike),
     # the loader reports both; Network raises the first
     "unknown_bus_then_duplicate_name": (UnknownBusError,
                                         _add("devices", bus="b1", name="load"),
@@ -665,6 +678,52 @@ def test_network_raises_the_loaders_first_topology_violation(tmp_path, case):
         _direct_network(doc)
     assert type(built.value) is error
     assert str(built.value) == violations[0]
+
+
+def _three_bus_doc():
+    return json.loads(fixture_path("three_bus.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("analysis", ["participation", "nodal-sens"])
+def test_a_device_named_like_a_shunt_exits_2(tmp_path, capsys, analysis):
+    # the device once doubled participation's p_sh@b1 column, and nodal-sens
+    # differentiated it for the shunt's parameter b and crashed
+    doc = _three_bus_doc()
+    doc["devices"][0]["name"] = "sh@b1"
+    doc["analyses"]["nodal-sens"] = {"component": "sh@b1", "param": "b"}
+    p = write_scenario(tmp_path, doc)
+    code = main([analysis, "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == ("scenario validation failed:\n"
+                                       "  - devices[0] and shunts[0] are both named 'sh@b1'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_nodal_sens_at_the_bottom_of_a_parameter_range(tmp_path, capsys):
+    # r = 0 is a valid RL branch, but r - h is not: the derivative steps up only
+    doc = _three_bus_doc()
+    doc["branches"][0]["params"]["r"] = 0.0
+    doc["analyses"]["nodal-sens"] = {"component": "b1-b2#1", "param": "r"}
+    p = write_scenario(tmp_path, doc)
+    code = main(["nodal-sens", "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    table = io_cli.read_result_csv(tmp_path / "o" / "nodal_sens_b1-b2_1_r.csv")
+    assert np.isfinite(table.rows[:, 2][table.rows[:, 3] == 0]).all()
+
+
+def test_device_sens_step_outside_the_model_range_exits_2(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["analyses"] = {"device-sens": {"device": "load", "param": "r", "delta_pct": -200}}
+    p = write_scenario(tmp_path, doc)
+    code = main(["device-sens", "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == ("scenario validation failed:\n  - analyses.device-sens.delta_pct: expected a "
+                   "step the model accepts, got -200: RL element needs r >= 0, x >= 0 and not "
+                   "both zero\n")
+    assert not (tmp_path / "o").exists()
 
 
 def _svg_table(name, columns, *series):
@@ -1031,6 +1090,9 @@ BAD_VALUES = {
                        "devices[0].params.l_c: must be finite"),
     "op_p_huge": (lambda doc: doc["devices"][0]["op"].update(p=10**400),
                   "devices[0].op.p: must be finite"),
+    # ranges are the models' own rules, reported with the entry's context
+    "op_v_zero": (lambda doc: doc["devices"][0]["op"].update(v=0.0),
+                  "devices[0]: terminal voltage magnitude must be positive"),
     "base_f_hz_huge": (lambda doc: doc["base"].update(f_hz=10**400), "base.f_hz: must be finite"),
     "grid_points_huge": (lambda doc: doc["grid"].update(points=10**400),
                          "grid.points: must be finite"),
@@ -1113,3 +1175,15 @@ def test_loader_accepts_the_benchmark_scenarios(tmp_path):
         path = tmp_path / f"b{k}.json"
         inputs.write_scenario(path, doc)
         load_scenario(path)
+
+
+def test_component_table_keeps_names_kinds_buses_and_order(tmp_path):
+    inputs = _bench_inputs()
+    ladder = tmp_path / "ladder.json"
+    inputs.write_scenario(ladder, inputs.ladder_scenario(1, 10))
+    for path in (fixture_path("single_gfl.json"), fixture_path("three_bus.json"), ladder):
+        network = load_scenario(path).network
+        refs = components(network)
+        assert [tuple(ref[:3]) for ref in refs] == [ref[:3] for ref in component_refs(network)]
+        assert all(ref.model is want[3] for ref, want in zip(refs, component_refs(network)))
+        assert all(component(network, ref.name) is ref for ref in refs)
