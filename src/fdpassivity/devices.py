@@ -565,8 +565,9 @@ def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:
     models are each evaluated once on all of it.  Step
     h = max(|rho|, 1) * 1e-6; the h and h/2 estimates combine as
     (4 D(h/2) - D(h)) / 3, cancelling the leading truncation term.  Where
-    rho - h is outside the model's range (r = 0 of an RL element), the
-    forward differences D+ combine as 2 D+(h/2) - D+(h), which cancels it too.
+    rho - h or rho + h is outside the model's range (r = 0 of an RL element,
+    scr = 1e6 of a Thevenin grid), the one-sided differences D toward the
+    side it accepts combine as 2 D(+-h/2) - D(+-h), which cancels it too.
     """
     if not model.param_names():
         raise NotDifferentiableError(f"{model.kind} model is not differentiable in parameters")
@@ -579,11 +580,15 @@ def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:
         return (y_plus - y_minus) / (2.0 * step)
 
     try:
-        model.with_param(param_name, rho - h)
-    except ValueError:
+        for side in (-h, h):
+            model.with_param(param_name, rho + side)
+    except ValueError:  # rho + side is rejected: step away from it
         y = model.admittance(s)
-        forward = lambda step: (model.with_param(param_name, rho + step).admittance(s) - y) / step
-        d = 2.0 * forward(h / 2.0) - forward(h)
+
+        def one_sided(step: float) -> np.ndarray:
+            return (model.with_param(param_name, rho + step).admittance(s) - y) / step
+
+        d = 2.0 * one_sided(-side / 2.0) - one_sided(-side)
     else:
         d = (4.0 * central(h / 2.0) - central(h)) / 3.0
     bad = np.ravel(~(np.isfinite(d.real) & np.isfinite(d.imag)).all(axis=(-2, -1)))

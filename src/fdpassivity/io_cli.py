@@ -8,7 +8,8 @@ listing every violated constraint.
 
 Each analysis is one entry of a table keyed by its name: its declared
 options, the function that runs it and an optional summary line.  Option
-checking, dispatch and the CLI's subcommands all read that table.
+checking, dispatch and the CLI's subcommands all read that table.  The
+function declares each result table as one {column: values} mapping.
 
 Results are flat tables written as RFC-4180-style CSV at 17 significant
 digits, so re-parsing reproduces every float exactly.  Output files carry
@@ -58,16 +59,18 @@ from .errors import (
     ValidationFailure,
 )
 
-# kind -> (model class, the dataclass whose fields are its "params").  A
-#   converter's op is parsed apart.  The models check their own ranges.
+# kind -> (what makes the model; the dataclass whose fields are its
+#   "params", or None for a table read from "path"; the keys its entry may
+#   hold next to those of its section).  A converter's op is parsed apart.
+#   The models check their own ranges.
 _MODELS = {
-    "rl": (RlBranch, RlBranch),
-    "shunt_c": (ShuntCapacitor, ShuntCapacitor),
-    "thevenin": (TheveninGrid, TheveninGrid),
-    "gfl_l1": (GflConverterL1, GflParams),
-    "gfm_l1": (GfmConverterL1, GfmParams),
+    "rl": (RlBranch, RlBranch, ("kind", "params")),
+    "shunt_c": (ShuntCapacitor, ShuntCapacitor, ("kind", "params")),
+    "thevenin": (TheveninGrid, TheveninGrid, ("kind", "params")),
+    "gfl_l1": (GflConverterL1, GflParams, ("kind", "params", "op")),
+    "gfm_l1": (GfmConverterL1, GfmParams, ("kind", "params", "op")),
+    "blackbox": (read_blackbox_table, None, ("kind", "path", "params")),
 }
-_MODEL_KINDS = (*_MODELS, "blackbox")
 
 # The keys the loader reads; any other key is a violation.
 _TOP_KEYS = ("schema", "name", "base", "grid", "buses", "branches", "shunts", "devices",
@@ -75,9 +78,6 @@ _TOP_KEYS = ("schema", "name", "base", "grid", "buses", "branches", "shunts", "d
 _BASE_KEYS = ("s_va", "v_v", "f_hz")
 _GRID_KEYS = ("f_min_hz", "f_max_hz", "points", "points_per_decade", "freqs_hz")
 _OP_FIELDS = {"p": True, "q": True, "v": True}  # field -> required
-# the model keys of each kind, next to the keys of the section an entry is in
-_MODEL_KEYS = {"blackbox": ("kind", "path", "params"), "gfl_l1": ("kind", "params", "op"),
-               "gfm_l1": ("kind", "params", "op")}
 
 
 class Scenario(NamedTuple):
@@ -175,19 +175,18 @@ def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceM
     kind = _str(doc, "kind", ctx, violations)
     if kind is None:
         return None
-    if kind not in _MODEL_KINDS:
-        violations.append(f"{ctx}.kind: unknown model kind {kind!r} (known: {', '.join(_MODEL_KINDS)})")
+    if kind not in _MODELS:
+        violations.append(f"{ctx}.kind: unknown model kind {kind!r} (known: {', '.join(_MODELS)})")
         return None
-    _reject_unknown(doc, (*entry_keys, *_MODEL_KEYS.get(kind, ("kind", "params"))), ctx,
-                    "field", violations)
+    make, source, model_keys = _MODELS[kind]
+    _reject_unknown(doc, (*entry_keys, *model_keys), ctx, "field", violations)
     try:
-        if kind == "blackbox":
+        if source is None:
             # the table is loaded now so later evaluation cannot hit I/O
             if "params" in doc:
-                violations.append(f"{ctx}.params: a blackbox model takes no parameters")
+                violations.append(f"{ctx}.params: a {kind} model takes no parameters")
             rel = _str(doc, "path", ctx, violations)
-            return None if rel is None else read_blackbox_table(base_dir / rel)
-        cls, source = _MODELS[kind]
+            return None if rel is None else make(base_dir / rel)
         given, values = doc.get("params", {}), None
         if isinstance(given, dict):
             # every field of source but omega_b; one without a default is required
@@ -195,8 +194,8 @@ def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceM
             values = _read_fields(given, table, f"{ctx}.params", "parameter", violations)
         else:
             violations.append(f"{ctx}.params: expected an object")
-        if source is cls:
-            return None if values is None else cls(**values, omega_b=omega_b)
+        if source is make:
+            return None if values is None else make(**values, omega_b=omega_b)
         given, op = doc.get("op"), None
         if isinstance(given, dict):
             op = _read_fields(given, _OP_FIELDS, f"{ctx}.op", "field", violations)
@@ -204,7 +203,7 @@ def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceM
             violations.append(f"{ctx}: converter models need an \"op\" object with p, q, v")
         if values is None or op is None:
             return None
-        return cls(params=source(**values), op=OperatingPoint.from_terminal(**op, omega_b=omega_b))
+        return make(params=source(**values), op=OperatingPoint.from_terminal(**op, omega_b=omega_b))
     except (ValidationFailure, ValueError) as exc:
         violations.append(f"{ctx}: {exc}")
         return None
@@ -457,9 +456,8 @@ def _delta_pct(value, done, network):
 
 def _run_device_passivity(sc: Scenario, opts, freqs):
     sweep = passivity.index_sweep(net.component(sc.network, opts["device"]).model, sc.omegas)
-    rows = np.column_stack([freqs, sweep.indices, sweep.eigen_gaps])
-    return [ResultTable(f"device_passivity_{opts['device']}",
-                        ("freq_hz", "index", "eigen_gap"), rows)]
+    return {f"device_passivity_{opts['device']}":
+            {"freq_hz": freqs, "index": sweep.indices, "eigen_gap": sweep.eigen_gaps}}
 
 
 def _run_device_sens(sc: Scenario, opts, freqs):
@@ -470,42 +468,34 @@ def _run_device_sens(sc: Scenario, opts, freqs):
     # the exact column re-evaluates the shifted model, never the linearization
     exact = passivity.index_sweep(shifted, sc.omegas)
     label = f"{delta_pct:g}".replace("-", "m").replace(".", "p")
-    rows = np.column_stack([
-        freqs, sens.indices, sens.derivatives,
-        sens.indices + delta * sens.derivatives, exact.indices,
-    ])
-    return [ResultTable(
-        f"device_sens_{opts['device']}_{param}",
-        ("freq_hz", "index", "d_index",
-         f"predicted_after_{label}pct", f"exact_after_{label}pct"),
-        rows)]
+    return {f"device_sens_{opts['device']}_{param}": {
+        "freq_hz": freqs, "index": sens.indices, "d_index": sens.derivatives,
+        f"predicted_after_{label}pct": sens.indices + delta * sens.derivatives,
+        f"exact_after_{label}pct": exact.indices}}
 
 
 def _run_nodal_passivity(sc: Scenario, opts, freqs):
     sweep = net.nodal_index_sweep(sc.network, sc.omegas)
-    columns = ["freq_hz", "nodal_index"]
-    series = [freqs, sweep.indices]
-    for dev in sc.network.devices:
-        columns.append(f"index_{dev.name}")
-        series.append(passivity.index_sweep(dev.model, sc.omegas).indices)
-    return [ResultTable("nodal_passivity", tuple(columns), np.column_stack(series))]
+    return {"nodal_passivity": {
+        "freq_hz": freqs, "nodal_index": sweep.indices,
+        **{f"index_{dev.name}": passivity.index_sweep(dev.model, sc.omegas).indices
+           for dev in sc.network.devices}}}
 
 
 def _run_nodal_sens(sc: Scenario, opts, freqs):
     comp, param = opts["component"], opts["param"]
     sens = net.nodal_param_sensitivity(sc.network, comp, param, sc.omegas)
-    rows = np.column_stack([freqs, sens.indices, sens.derivatives,
-                            sens.degenerate.astype(float)])
-    return [ResultTable(f"nodal_sens_{comp}_{param}",
-                        ("freq_hz", "nodal_index", "d_index", "degenerate"), rows)]
+    return {f"nodal_sens_{comp}_{param}": {
+        "freq_hz": freqs, "nodal_index": sens.indices, "d_index": sens.derivatives,
+        "degenerate": sens.degenerate}}
 
 
 def _run_participation(sc: Scenario, opts, freqs):
     table = net.participation_sweep(sc.network, sc.omegas)
-    columns = ["freq_hz", "nodal_index"] + [f"p_{n}" for n in table.names] + ["degenerate"]
-    rows = np.column_stack([freqs, table.indices, table.values.T,
-                            table.degenerate.astype(float)])
-    return [ResultTable("participation", tuple(columns), rows)]
+    return {"participation": {
+        "freq_hz": freqs, "nodal_index": table.indices,
+        **{f"p_{name}": values for name, values in zip(table.names, table.values)},
+        "degenerate": table.degenerate}}
 
 
 def _run_gnc(sc: Scenario, opts, freqs):
@@ -516,27 +506,21 @@ def _run_gnc(sc: Scenario, opts, freqs):
         f_max_hz=float(freqs[-1]),
         points=len(sc.omegas),
     )
-    columns = ["freq_hz"]
-    series = [loci.omegas / (2.0 * math.pi)]
-    for t in range(loci.loci.shape[0]):
-        columns += [f"re_locus_{t + 1}", f"im_locus_{t + 1}"]
-        series += [loci.loci[t].real, loci.loci[t].imag]
-    verdict_row = [verdict.encirclements, float(verdict.stable), verdict.winding_float,
-                   verdict.min_critical_distance, float(sc.standalone_stable)]
-    return [
-        ResultTable("gnc_loci", tuple(columns), np.column_stack(series)),
-        ResultTable("gnc_verdict",
-                    ("encirclements", "stable", "winding_float",
-                     "min_critical_distance", "standalone_stable_asserted"),
-                    np.array([verdict_row])),
-    ]
+    columns = {"freq_hz": loci.omegas / (2.0 * math.pi)}
+    for t, locus in enumerate(loci.loci, 1):
+        columns |= {f"re_locus_{t}": locus.real, f"im_locus_{t}": locus.imag}
+    return {"gnc_loci": columns, "gnc_verdict": {
+        "encirclements": verdict.encirclements, "stable": verdict.stable,
+        "winding_float": verdict.winding_float,
+        "min_critical_distance": verdict.min_critical_distance,
+        "standalone_stable_asserted": sc.standalone_stable}}
 
 
 def _gnc_summary(tables):
-    row = tables[1].rows[0]
-    verdict = "stable" if row[1] else "unstable"
-    return (f"gnc verdict: {verdict} (encirclements={int(row[0])}, "
-            f"min distance to critical point={row[3]:.4g})")
+    row = dict(zip(tables[1].columns, tables[1].rows[0]))
+    verdict = "stable" if row["stable"] else "unstable"
+    return (f"gnc verdict: {verdict} (encirclements={int(row['encirclements'])}, "
+            f"min distance to critical point={row['min_critical_distance']:.4g})")
 
 
 def _run_fdpf(sc: Scenario, opts, freqs):
@@ -544,18 +528,14 @@ def _run_fdpf(sc: Scenario, opts, freqs):
     f_hz = float(opts["f_hz"])
     part = stability.fd_pf(sc.network, 1j * 2.0 * math.pi * f_hz)
     diag = part.diagonal_by_bus()
-    rows = np.column_stack([
-        np.full(diag.size, f_hz),
-        np.arange(1.0, diag.size + 1.0),
-        diag.real, diag.imag, np.abs(diag),
-    ])
     lam = part.critical_value
-    return [
-        ResultTable("fdpf", ("freq_hz", "bus", "re_participation",
-                             "im_participation", "abs_participation"), rows),
-        ResultTable("fdpf_critical", ("freq_hz", "re_lambda_c", "im_lambda_c", "n_tied"),
-                    np.array([[f_hz, lam.real, lam.imag, float(len(part.tied_with))]])),
-    ]
+    return {
+        "fdpf": {"freq_hz": np.full(diag.size, f_hz), "bus": np.arange(1.0, diag.size + 1.0),
+                 "re_participation": diag.real, "im_participation": diag.imag,
+                 "abs_participation": np.abs(diag)},
+        "fdpf_critical": {"freq_hz": f_hz, "re_lambda_c": lam.real, "im_lambda_c": lam.imag,
+                          "n_tied": len(part.tied_with)},
+    }
 
 
 def _run_modes(sc: Scenario, opts, freqs):
@@ -566,28 +546,27 @@ def _run_modes(sc: Scenario, opts, freqs):
         im_range=(0.0, 2.0 * math.pi * float(opts["f_max_hz"])),
     )
     modes = sorted(scan.modes, key=lambda m: (m.frequency_hz, m.lam.real))
-    rows = np.array([
-        [m.frequency_hz, m.lam.real, m.lam.imag, m.residual, float(m.iterations)]
-        for m in modes
-    ]).reshape(len(modes), 5)
-    return [
-        ResultTable("modes", ("freq_hz", "re_lambda", "im_lambda", "residual", "iterations"),
-                    rows),
-        ResultTable("modes_verdict", ("unstable", "n_modes"),
-                    np.array([[float(scan.unstable), float(len(modes))]])),
-    ]
+    lam = np.array([m.lam for m in modes], dtype=complex)
+    return {
+        "modes": {"freq_hz": [m.frequency_hz for m in modes], "re_lambda": lam.real,
+                  "im_lambda": lam.imag, "residual": [m.residual for m in modes],
+                  "iterations": [m.iterations for m in modes]},
+        "modes_verdict": {"unstable": scan.unstable, "n_modes": len(modes)},
+    }
 
 
 def _modes_summary(tables):
-    row = tables[1].rows[0]
-    verdict = "unstable" if row[0] else "stable"
-    return f"mode scan: {verdict} ({int(row[1])} distinct modes found)"
+    row = dict(zip(tables[1].columns, tables[1].rows[0]))
+    verdict = "unstable" if row["unstable"] else "stable"
+    return f"mode scan: {verdict} ({int(row['n_modes'])} distinct modes found)"
 
 
 class _Analysis(NamedTuple):
     options: tuple[_Option, ...]
-    # (scenario, resolved options, grid in Hz) -> result tables
-    run: Callable[..., list[ResultTable]]
+    # (scenario, resolved options, grid in Hz) -> {table name: {column:
+    #   values}}, each table's values arrays of one length, or numbers for
+    #   a one-row table
+    run: Callable[..., dict]
     # result tables -> the line printed after the files are written
     summary: Callable[[list[ResultTable]], str] | None = None
 
@@ -631,8 +610,10 @@ def run(scenario: Scenario, analysis_name: str) -> list[ResultTable]:
     if analysis_name not in scenario.analyses:
         raise ScenarioValidationError(
             [f"analysis {analysis_name!r} is not declared in scenario {scenario.name!r}"])
-    return _ANALYSIS_TABLE[analysis_name].run(
+    tables = _ANALYSIS_TABLE[analysis_name].run(
         scenario, scenario.analyses[analysis_name], scenario.omegas / (2.0 * math.pi))
+    return [ResultTable(name, tuple(columns), np.column_stack([*columns.values()]))
+            for name, columns in tables.items()]
 
 
 # --- serialization ----------------------------------------------------------

@@ -374,16 +374,12 @@ def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.nda
     component sees: its bus sub-vector, or the difference of the two for a
     branch.  phi (..., 2N) and dY (..., 2, 2) may be stacks over frequency.
     """
-    return quadratic_form(_window(phi, ref), np.asarray(dy, dtype=complex))
-
-
-def _window(phi: np.ndarray, ref: ComponentRef) -> np.ndarray:
     i = 2 * ref.buses[0]
     w = phi[..., i:i + 2]
     if len(ref.buses) == 2:
         j = 2 * ref.buses[1]
         w = w - phi[..., j:j + 2]
-    return w
+    return quadratic_form(w, dy)
 
 
 def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas) -> SensitivitySeries:
@@ -430,17 +426,14 @@ def participation_sweep(network: Network, omegas) -> ParticipationTable:
     """Component participations across a frequency grid; degenerate points flagged.
 
     A component's participation is the directional sensitivity along its
-    own admittance, i.e. the response to scaling it by (1 + eps).
+    own admittance, i.e. the response to scaling it by (1 + eps): one
+    whole-grid admittance call per component.
     """
     refs = components(network)
     spec = nodal_passivity_sweep(network, omegas)
     s = 1j * spec.omegas
-    shares = np.empty((len(refs), s.size))
-    for m, positions, combined in combine([ref.model for ref in refs]):
-        for rows in frequency_chunks(s.size, 64 * len(positions)):
-            w = np.stack([_window(spec.min_vectors[rows], refs[k]) for k in positions], axis=-2)
-            y = _evaluate([(m, positions, combined)], s[rows])
-            shares[list(positions), rows] = quadratic_form(w, y).T
+    shares = np.array([directional_nodal_sensitivity(spec.min_vectors, r, r.model.admittance(s))
+                       for r in refs]).reshape(len(refs), s.size)
     shares[:, spec.degenerate] = math.nan
     return ParticipationTable(
         names=tuple(r.name for r in refs),

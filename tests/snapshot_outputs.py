@@ -1,0 +1,85 @@
+"""Write a fixed set of CLI outputs, for comparing two checkouts byte for byte.
+
+Usage (from a checkout, with the fdpassivity under test on PYTHONPATH):
+
+    PYTHONPATH=src python tests/snapshot_outputs.py OUT_DIR
+
+The set is every declared analysis of both bundled fixtures, the seeded
+40-bus benchmark ladder's nodal-passivity, nodal-sens and participation,
+and the 10-bus benchmark ladder's modes, each run as
+``python -m fdpassivity.io_cli ANALYSIS --svg``.  OUT_DIR/CASE/ receives
+each run's CSV and SVG files and ANALYSIS.stdout, ANALYSIS.stderr and
+ANALYSIS.exit; the scenario files go to OUT_DIR/scenarios/.  Every path a
+run prints is relative to OUT_DIR, so the outputs of two checkouts are
+equal exactly when ``diff -r OUT_A OUT_B`` prints nothing.
+
+bench/inputs.py is read, never changed.  pytest does not collect this
+file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import fdpassivity
+from fdpassivity import io_cli
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+
+
+def bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs_readonly", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(scenarios: Path) -> list[tuple[str, Path, list[str]]]:
+    """(case, scenario file, analyses) for every run of the set."""
+    inputs = bench_inputs()
+    runs = []
+    for name in ("single_gfl.json", "three_bus.json"):
+        path = scenarios / name
+        shutil.copyfile(io_cli.fixture_path(name), path)
+        runs.append((path.stem, path, list(io_cli.load_scenario(path).analyses)))
+    for buses, analyses in ((inputs.LADDER_BUSES, ["nodal-passivity", "nodal-sens", "participation"]),
+                            (inputs.STABILITY_LADDER_BUSES, ["modes"])):
+        path = scenarios / f"ladder{buses}.json"
+        inputs.write_scenario(path, inputs.ladder_scenario(inputs.DEFAULT_SEED, buses))
+        runs.append((path.stem, path, analyses))
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    (out / "scenarios").mkdir(parents=True, exist_ok=True)
+    # the runs import the package this script imported, with one BLAS
+    # thread, as the benchmark runs the program
+    path = [str(Path(fdpassivity.__file__).resolve().parent.parent),
+            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for case, scenario, analyses in cases(out / "scenarios"):
+        for analysis in analyses:
+            done = subprocess.run(
+                [sys.executable, "-m", "fdpassivity.io_cli", analysis,
+                 "--scenario", str(scenario.relative_to(out)), "--out", case, "--svg"],
+                cwd=out, env=env, capture_output=True, text=True)
+            (out / case).mkdir(exist_ok=True)
+            (out / case / f"{analysis}.stdout").write_text(done.stdout, encoding="utf-8")
+            (out / case / f"{analysis}.stderr").write_text(done.stderr, encoding="utf-8")
+            (out / case / f"{analysis}.exit").write_text(f"{done.returncode}\n", encoding="utf-8")
+            print(f"{case} {analysis}: exit {done.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,12 +3,13 @@
 bench/tracing.py patches the program at the (module, attribute) bindings
 in its SITES table and wraps ``admittance`` where a DeviceModel subclass
 defines it in its own class body; bench/workloads.py calls three
-stability entry points by name.  A hook that no longer resolves makes a
-benchmark run come back malformed, so it fails here first.  The tracer
-module is loaded from its file, never changed; one test installs its
-Tracer around a stability pass and removes it again, because a layer that
-stability-study lists as mainly on but never calls fails a traced
-benchmark run.
+stability entry points by name.  A hook that no longer resolves does not
+fail a benchmark run: the run stays well-formed and silently drops that
+layer's metrics, so it fails here instead.  The tracer module is loaded
+from its file, never changed; one test installs its Tracer around a
+stability pass and removes it again, because what does fail a traced
+benchmark run is a layer that stability-study lists as mainly on but
+never calls.
 """
 
 import ast

@@ -191,6 +191,25 @@ def test_param_derivative_at_the_bottom_of_the_range():
     assert (error <= 1e-6 * np.linalg.norm(exact, axis=(1, 2))).all()
 
 
+@pytest.mark.parametrize("scr", [1e6, 1e6 - 0.5, 1e6 - 2.0])
+def test_param_derivative_at_the_top_of_the_range(scr):
+    # scr = 1e6 is the largest grid TheveninGrid accepts, so within h = 1 of
+    # it the derivative steps down only (and centrally beyond h).  Z =
+    # (r + s x/omega_b) I + x J with x = 1/scr, r = x/xr gives dZ/dscr =
+    # -((1/xr + s/omega_b) I + J)/scr^2 and dY/dscr = -Y dZ Y.  The grid
+    # stays off 54-66 Hz, as at the bottom of a range.
+    xr = 6.0
+    m = TheveninGrid(scr, xr, WB)
+    s = 1j * 2 * math.pi * np.concatenate([np.geomspace(1.0, 54.0, 30),
+                                           np.geomspace(66.0, 2000.0, 30)])
+    y = m.admittance(s)
+    jay = np.array([[0.0, -1.0], [1.0, 0.0]])
+    dz = -((1.0 / xr + s / WB)[:, None, None] * np.eye(2) + jay) / scr ** 2
+    exact = -(y @ dz @ y)
+    error = np.linalg.norm(param_derivative(m, "scr", s) - exact, axis=(1, 2))
+    assert (error <= 1e-6 * np.linalg.norm(exact, axis=(1, 2))).all()
+
+
 def test_param_derivative_homogeneous_capacitor():
     m = ShuntCapacitor(0.4, WB)
     s = 1j * 2 * math.pi * 90

@@ -712,6 +712,20 @@ def test_nodal_sens_at_the_bottom_of_a_parameter_range(tmp_path, capsys):
     assert np.isfinite(table.rows[:, 2][table.rows[:, 3] == 0]).all()
 
 
+def test_nodal_sens_at_the_top_of_a_parameter_range(tmp_path, capsys):
+    # scr = 1e6 is a valid Thevenin grid, but scr + h is not: the derivative
+    # steps down only
+    doc = json.loads(fixture_path("single_gfl.json").read_text(encoding="utf-8"))
+    doc["shunts"][0]["params"]["scr"] = 1e6
+    doc["analyses"]["nodal-sens"] = {"component": "sh@poc", "param": "scr"}
+    p = write_scenario(tmp_path, doc)
+    code = main(["nodal-sens", "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    table = io_cli.read_result_csv(tmp_path / "o" / "nodal_sens_sh_poc_scr.csv")
+    assert np.isfinite(table.rows[:, 2][table.rows[:, 3] == 0]).all()
+
+
 def test_device_sens_step_outside_the_model_range_exits_2(tmp_path, capsys):
     doc = minimal_doc()
     doc["analyses"] = {"device-sens": {"device": "load", "param": "r", "delta_pct": -200}}
@@ -1187,3 +1201,32 @@ def test_component_table_keeps_names_kinds_buses_and_order(tmp_path):
         assert [tuple(ref[:3]) for ref in refs] == [ref[:3] for ref in component_refs(network)]
         assert all(ref.model is want[3] for ref, want in zip(refs, component_refs(network)))
         assert all(component(network, ref.name) is ref for ref in refs)
+
+
+def test_every_written_csv_has_one_column_per_distinct_name(tmp_path, capsys):
+    # each analysis declares a table as one {column: values} mapping, which
+    # cannot hold a name twice: a repeated name would drop a column silently.
+    # So every header name is distinct, every row has one value per name, and
+    # the tables whose columns follow the network keep one column each.
+    inputs = _bench_inputs()
+    ladder = tmp_path / "ladder.json"
+    inputs.write_scenario(ladder, inputs.ladder_scenario(1, 10))
+    written = 0
+    for k, path in enumerate((fixture_path("single_gfl.json"), fixture_path("three_bus.json"),
+                              ladder)):
+        scenario = load_scenario(path)
+        per_network = {"nodal_passivity": 2 + len(scenario.network.devices),
+                       "participation": 3 + len(components(scenario.network))}
+        for analysis in scenario.analyses:
+            out = tmp_path / f"{k}-{analysis}"
+            assert main([analysis, "--scenario", str(path), "--out", str(out)]) == 0
+            for csv in sorted(out.glob("*.csv")):
+                header, *rows = csv.read_text(encoding="utf-8").splitlines()
+                names = header.split(",")
+                assert len(set(names)) == len(names), csv.name
+                assert all(len(row.split(",")) == len(names) for row in rows), csv.name
+                assert len(names) == per_network.get(csv.stem, len(names)), csv.name
+                written += 1
+    capsys.readouterr()
+    # 8 + 7 fixture analyses write 11 + 9 tables; the ladder's 4 analyses write 5
+    assert written == 25
