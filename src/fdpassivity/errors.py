@@ -70,7 +70,15 @@ class UnknownComponentError(ValidationFailure):
 # --- stability ------------------------------------------------------------
 
 class RefineGridError(NumericalFailure):
-    """Frequency grid too coarse to track eigenloci near the critical point."""
+    """Frequency grid too coarse to track eigenloci near the critical point.
+
+    ``intervals`` holds the indices k of the grid intervals (omegas[k] to
+    omegas[k + 1]) that the refusal names, empty when it names none.
+    """
+
+    def __init__(self, message, intervals=()):
+        super().__init__(message)
+        self.intervals = intervals
 
 
 class ZeroDenominatorError(NumericalFailure):

@@ -19,7 +19,11 @@ GNC evaluates its grid in the blocks of the values-only passivity sweeps
 (passivity.eigenvalue_blocks): one stacked loop gain and one batched
 eigenvalue solve (no eigenvectors) per block, spread over worker threads
 by parallel_map, with the same bits for any worker count.  gnc_auto
-refines on nested grids, so each doubling solves only its new points.
+refines adaptively on one nested log grid: a refused pass bisects only
+the intervals the guards flag, a count found after any refinement stands
+only if one more pass that halves every interval gives it again, and
+max_doublings caps how often an interval is halved.  Each pass solves the
+loop gain only at its new points.
 The loci tracker decides every greedy step at once and composes the
 step permutations by a prefix scan; only steps whose greedy match
 collides are settled one at a time.  The mode scan runs the Muller searches
@@ -36,12 +40,14 @@ is its conjugate mirror and contributes the same total, and the two
 junction segments (near omega = 0 and at the sweep end) are closed
 analytically.  Any ambiguity (angle jump near pi, large displacement
 close to the critical point, or a winding sum far from an integer)
-raises RefineGrid instead of guessing.
+raises RefineGrid instead of guessing; a refusal by the first two
+guards names the grid intervals they flag.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -165,6 +171,56 @@ def _loop_gain_eigenvalues(network: Network, omegas: np.ndarray) -> np.ndarray:
         eigenvalue_blocks(omegas.size, 2 * network.n_buses)))
 
 
+def _winding_verdict(omegas: np.ndarray, loci: np.ndarray) -> GncVerdict:
+    """The verdict tracked loci give on omegas, or RefineGridError naming
+    the intervals k (omegas[k] to omegas[k + 1]) that the displacement and
+    angle guards flag; a refusal for another reason names none."""
+    rel = loci - CRITICAL
+    dist = np.abs(rel)
+    min_dist = float(dist.min())
+    if min_dist == 0.0:
+        raise RefineGridError("an eigenlocus sample hit (-1, 0) exactly")
+
+    # Grid-density guard near the critical point.
+    step = np.abs(np.diff(loci, axis=1))
+    near = np.minimum(dist[:, :-1], dist[:, 1:])
+    coarse = ((near < 1.0) & (step >= 0.25 * near)).any(axis=0)
+    angles = np.angle(rel[:, 1:] / rel[:, :-1])
+    jumps = (np.abs(angles) > 0.95 * math.pi).any(axis=0)
+    flagged = np.flatnonzero(coarse | jumps)
+    if coarse.any():
+        k = int(np.argmax(coarse))
+        raise RefineGridError(
+            f"eigenlocus displacement exceeds a quarter of the distance to (-1, 0) "
+            f"between omega={omegas[k]:.6g} and omega={omegas[k + 1]:.6g} rad/s",
+            intervals=flagged)
+    if jumps.any():
+        k = int(np.argmax(jumps))
+        raise RefineGridError(
+            f"angle increment around (-1, 0) near pi between "
+            f"omega={omegas[k]:.6g} and omega={omegas[k + 1]:.6g} rad/s",
+            intervals=flagged)
+
+    # Conjugate closure: the negative-frequency mirror repeats the swept
+    # total, and the junction segments contribute the angle between each
+    # endpoint and its conjugate; both halves fold into a division by pi.
+    swept = float(angles.sum())
+    junction = float(np.angle(rel[:, 0]).sum() - np.angle(rel[:, -1]).sum())
+    winding_float = (swept + junction) / math.pi
+    encirclements = round(winding_float)
+    if abs(winding_float - encirclements) > 0.25:
+        raise RefineGridError(
+            f"winding sum {winding_float:.3f} is not close to an integer; "
+            f"the sweep span or density is insufficient"
+        )
+    return GncVerdict(
+        encirclements=encirclements,
+        stable=(encirclements == 0),
+        winding_float=winding_float,
+        min_critical_distance=min_dist,
+    )
+
+
 def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerdict]:
     """Generalized Nyquist verdict on a fixed positive-frequency grid.
 
@@ -184,52 +240,16 @@ def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerd
     elif np.shape(values) != (omegas.size, 2 * network.n_buses):
         raise ValueError("values must hold the 2N loop-gain eigenvalues at each frequency")
     loci = _track_loci(values)
+    return LoopGainLoci(omegas=omegas, loci=loci), _winding_verdict(omegas, loci)
 
-    rel = loci - CRITICAL
-    dist = np.abs(rel)
-    min_dist = float(dist.min())
-    if min_dist == 0.0:
-        raise RefineGridError("an eigenlocus sample hit (-1, 0) exactly")
 
-    # Grid-density guard near the critical point.
-    step = np.abs(np.diff(loci, axis=1))
-    near = np.minimum(dist[:, :-1], dist[:, 1:])
-    coarse = (near < 1.0) & (step >= 0.25 * near)
-    if np.any(coarse):
-        k = int(np.argwhere(coarse.any(axis=0))[0][0])
-        raise RefineGridError(
-            f"eigenlocus displacement exceeds a quarter of the distance to (-1, 0) "
-            f"between omega={omegas[k]:.6g} and omega={omegas[k + 1]:.6g} rad/s"
-        )
-
-    angles = np.angle(rel[:, 1:] / rel[:, :-1])
-    if np.any(np.abs(angles) > 0.95 * math.pi):
-        k = int(np.argwhere((np.abs(angles) > 0.95 * math.pi).any(axis=0))[0][0])
-        raise RefineGridError(
-            f"angle increment around (-1, 0) near pi between "
-            f"omega={omegas[k]:.6g} and omega={omegas[k + 1]:.6g} rad/s"
-        )
-
-    # Conjugate closure: the negative-frequency mirror repeats the swept
-    # total, and the junction segments contribute the angle between each
-    # endpoint and its conjugate; both halves fold into a division by pi.
-    swept = float(angles.sum())
-    junction = float(np.angle(rel[:, 0]).sum() - np.angle(rel[:, -1]).sum())
-    winding_float = (swept + junction) / math.pi
-    encirclements = round(winding_float)
-    if abs(winding_float - encirclements) > 0.25:
-        raise RefineGridError(
-            f"winding sum {winding_float:.3f} is not close to an integer; "
-            f"the sweep span or density is insufficient"
-        )
-
-    verdict = GncVerdict(
-        encirclements=encirclements,
-        stable=(encirclements == 0),
-        winding_float=winding_float,
-        min_critical_distance=min_dist,
-    )
-    return LoopGainLoci(omegas=omegas, loci=loci), verdict
+def _grid_points(f_min_hz: float, f_max_hz: float, count: int, idx: np.ndarray) -> np.ndarray:
+    """log_omega_grid(f_min_hz, f_max_hz, count)[idx] to the bit, without
+    building the whole grid: numpy's logspace, point by point."""
+    start, stop = math.log10(f_min_hz), math.log10(f_max_hz)
+    y = idx * ((stop - start) / (count - 1)) + start
+    y[idx == count - 1] = stop
+    return 2.0 * math.pi * np.power(10.0, y)
 
 
 def gnc_auto(
@@ -239,34 +259,55 @@ def gnc_auto(
     points: int = 800,
     max_doublings: int = 6,
 ) -> tuple[LoopGainLoci, GncVerdict]:
-    """GNC on a log grid, doubling the density until the winding count is
-    unambiguous; raises RefineGrid with the last grid's reason if the cap
-    is hit.
+    """GNC on a log grid, refined where the guards flag it until the
+    winding count is unambiguous; raises RefineGrid with the last pass's
+    reason when refinement hits the depth cap.
 
-    The grids are nested: level L has (points - 1) * 2**L + 1 points, and
-    its even points are level L - 1's grid to the bit, so each level
-    solves the loop gain only at its new odd points and keeps the
-    eigenvalues of the others.  Each level's result is gnc's on that
-    grid, to the bit.
+    Every grid is a subset of the finest nested grid,
+    log_omega_grid(f_min_hz, f_max_hz, (points - 1) * 2**max_doublings + 1);
+    the first takes every 2**max_doublings-th point of it, which is
+    log_omega_grid(f_min_hz, f_max_hz, points) to the bit, so an interval
+    is bisected at most max_doublings times.  A refused pass bisects the
+    intervals the displacement and angle guards flag, or every interval
+    when the refusal names none (a winding sum far from an integer).
+    After any refinement a count is accepted only when one more pass that
+    bisects every interval passes the guards with the same count; an
+    unflagged interval can hide a jump that no guard sees until it is
+    halved.  Each pass solves the loop gain only at its new points, and
+    its result is gnc's on its grid, to the bit.
     """
-    for level in range(max_doublings + 1):
-        omegas = log_omega_grid(f_min_hz, f_max_hz, (points - 1) * 2 ** level + 1)
-        if level == 0:
-            values = _loop_gain_eigenvalues(network, omegas)
-        else:
-            fine = np.empty((omegas.size, values.shape[1]), dtype=complex)
-            fine[::2] = values
-            fine[1::2] = _loop_gain_eigenvalues(network, omegas[1::2])
-            values = fine
+    finest = (points - 1) * 2 ** max_doublings + 1
+    idx = np.arange(0, finest, 2 ** max_doublings)
+    omegas = log_omega_grid(f_min_hz, f_max_hz, points)
+    values = _loop_gain_eigenvalues(network, omegas)
+    candidate = None
+    for passes in itertools.count(1):
         try:
-            return gnc(network, omegas, values=values)
+            loci, verdict = gnc(network, omegas, values=values)
         except RefineGridError as exc:
             # kept without its traceback: that holds this frame and its
             # callers', a cycle that would keep their arrays alive until the
-            # cyclic collector runs, also after a later level succeeds
-            last = exc.with_traceback(None)
-    raise RefineGridError(f"{last} (after {max_doublings + 1} grids, "
-                          f"up to {omegas.size} points)") from last
+            # cyclic collector runs, also after a later pass succeeds
+            last, candidate = exc.with_traceback(None), None
+            bisect = np.asarray(exc.intervals, dtype=np.intp)
+            if bisect.size == 0:
+                bisect = np.arange(idx.size - 1)
+        else:
+            if passes == 1 or verdict.encirclements == candidate:
+                return loci, verdict
+            candidate = verdict.encirclements
+            bisect = np.arange(idx.size - 1)
+        bisect = bisect[np.diff(idx)[bisect] > 1]
+        if bisect.size == 0:
+            if candidate is not None:  # the whole finest grid: no halving left to confirm on
+                return loci, verdict
+            raise RefineGridError(f"{last} (after {passes} grids, "
+                                  f"up to {omegas.size} points)") from last
+        mids = (idx[bisect] + idx[bisect + 1]) // 2
+        new = _grid_points(f_min_hz, f_max_hz, finest, mids)
+        idx = np.insert(idx, bisect + 1, mids)
+        omegas = np.insert(omegas, bisect + 1, new)
+        values = np.insert(values, bisect + 1, _loop_gain_eigenvalues(network, new), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -82,13 +82,14 @@ def gfm_model() -> GfmConverterL1:
     return GfmConverterL1(GfmParams(), op)
 
 
-def make_single_gfl(scr: float = 3.0, k_p_pll: float = 0.4) -> Network:
+def make_single_gfl(scr: float = 3.0, k_p_pll: float = 0.4, xr_ratio: float = 6.0,
+                    p: float = 0.7, q: float = 0.2) -> Network:
     """One converter against a Thevenin grid at the point of connection."""
-    op = OperatingPoint.from_terminal(0.7, 0.2, 1.0, WB)
+    op = OperatingPoint.from_terminal(p, q, 1.0, WB)
     model = GflConverterL1(GflParams(k_p_pll=k_p_pll), op)
     return Network(
         buses=("poc",),
-        shunts=(Shunt("poc", TheveninGrid(scr, 6.0, WB)),),
+        shunts=(Shunt("poc", TheveninGrid(scr, xr_ratio, WB)),),
         devices=(Device("poc", "GFL-1", model),),
     )
 

@@ -6,7 +6,8 @@ Usage (from a checkout, with the fdpassivity under test on PYTHONPATH):
 
 The set is every declared analysis of both bundled fixtures, the seeded
 40-bus benchmark ladder's nodal-passivity, nodal-sens and participation,
-and the 10-bus benchmark ladder's modes, each run as
+the 10-bus benchmark ladder's modes, and gnc and modes of the benchmark's
+single-GFL case at SCR 1.3 and k_p_pll 0.66, each run as
 ``python -m fdpassivity.io_cli ANALYSIS --svg``.  OUT_DIR/CASE/ receives
 each run's CSV and SVG files and ANALYSIS.stdout, ANALYSIS.stderr and
 ANALYSIS.exit; the scenario files go to OUT_DIR/scenarios/.  Every path a
@@ -52,6 +53,11 @@ def cases(scenarios: Path) -> list[tuple[str, Path, list[str]]]:
         path = scenarios / f"ladder{buses}.json"
         inputs.write_scenario(path, inputs.ladder_scenario(inputs.DEFAULT_SEED, buses))
         runs.append((path.stem, path, analyses))
+    # the criterion-8 case near the PLL-gain boundary, where gnc refines
+    doc = inputs.single_gfl_scenario(1.3, 0.66)
+    path = scenarios / f"{doc['name']}.json"
+    inputs.write_scenario(path, doc)
+    runs.append((path.stem, path, ["gnc", "modes"]))
     return runs
 
 

@@ -77,6 +77,7 @@ from fdpassivity.passivity import (
 from fdpassivity.stability import (
     _track_loci,
     gnc,
+    gnc_auto,
     loop_gain,
     mode_admittance_sensitivity,
     mode_scan,
@@ -84,7 +85,12 @@ from fdpassivity.stability import (
 )
 
 from conftest import WB, make_single_gfl, make_three_bus, random_passive_network
-from oracles import adjugate_cofactor, mode_scan_sequential, track_loci_sequential
+from oracles import (
+    adjugate_cofactor,
+    gnc_auto_doubling,
+    mode_scan_sequential,
+    track_loci_sequential,
+)
 
 RTOL = 0.0  # relative, per element: bit-identical
 
@@ -561,6 +567,15 @@ def test_lockstep_mode_scan_matches_sequential_fixtures():
 def test_lockstep_mode_scan_matches_sequential_ladder(tmp_path, seed):
     sc = stability_ladder(tmp_path, seed)
     assert mode_scan(sc.network, sc.omega_b) == mode_scan_sequential(sc.network, sc.omega_b)
+
+
+def test_gnc_auto_agrees_with_plain_doubling_ladder(tmp_path):
+    # the ladder refines near its critical point, as the criterion-8 cases do
+    net = stability_ladder(tmp_path, 1).network
+    loci, verdict = gnc_auto(net)
+    _, ref = gnc_auto_doubling(net)
+    assert loci.omegas.size > 800
+    assert (verdict.encirclements, verdict.stable) == (ref.encirclements, ref.stable)
 
 
 def test_adjugate_matches_oracle_at_ladder_modes(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpassivity import stability
 from fdpassivity.devices import RlBranch, ShuntCapacitor, TheveninGrid
@@ -78,8 +80,8 @@ def test_gnc_passive_system_never_encircles():
 def test_gnc_refuses_contour_pole():
     # a lossless-C-only net side is singular at s = j*omega_b, putting a
     # loop-gain pole on the contour; no grid density can resolve the
-    # winding there and the refusal must survive doubling
-    with pytest.raises(RefineGridError, match=r"after 3 grids, up to 397 points\)$"):
+    # winding there and the refusal must survive refinement to the depth cap
+    with pytest.raises(RefineGridError, match=r"after 3 grids, up to 130 points\)$"):
         gnc_auto(make_rlc_bus(*RLC), 0.01, 1e4, points=100, max_doublings=2)
 
 
@@ -144,9 +146,18 @@ def test_nested_gnc_auto_agrees_with_plain_doubling(make, params, kwargs):
     assert gnc_outcome(gnc_auto, net, **kwargs) == gnc_outcome(gnc_auto_doubling, net, **kwargs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(scr=st.floats(1.0, 5.0), k_p_pll=st.floats(0.1, 2.0), xr_ratio=st.floats(2.0, 12.0),
+       p=st.floats(0.2, 1.0), q=st.floats(-0.3, 0.3))
+def test_gnc_auto_agrees_with_plain_doubling_on_any_single_gfl(scr, k_p_pll, xr_ratio, p, q):
+    net = make_single_gfl(scr=scr, k_p_pll=k_p_pll, xr_ratio=xr_ratio, p=p, q=q)
+    assert gnc_outcome(gnc_auto, net) == gnc_outcome(gnc_auto_doubling, net)
+
+
 @pytest.mark.parametrize("scr, k_p_pll, points", [(1.3, 0.66, 800), (1.0, 0.9, 12)])
-def test_gnc_auto_is_gnc_on_its_nested_grid_and_solves_each_frequency_once(
-        monkeypatch, scr, k_p_pll, points):
+def test_gnc_auto_refines_on_the_nested_grid(monkeypatch, scr, k_p_pll, points):
+    # both cases refuse the first grid; the result is gnc's on a subset of
+    # the finest nested grid, and no frequency is solved twice
     net = make_single_gfl(scr=scr, k_p_pll=k_p_pll)
     solved = []
 
@@ -157,17 +168,29 @@ def test_gnc_auto_is_gnc_on_its_nested_grid_and_solves_each_frequency_once(
     monkeypatch.setattr(stability, "loop_gain", counting_loop_gain)
     loci, verdict = gnc_auto(net, points=points, max_doublings=8)
     monkeypatch.undo()
-    grids = [log_omega_grid(0.01, 1e4, (points - 1) * 2 ** level + 1) for level in range(9)]
-    level = next(k for k, grid in enumerate(grids) if grid.size == loci.omegas.size)
-    assert level >= 3
-    for coarse in grids[:level]:
-        with pytest.raises(RefineGridError):
-            gnc(net, coarse)
-    ref_loci, ref_verdict = gnc(net, grids[level])
-    assert np.array_equal(loci.omegas, grids[level])
+    first = log_omega_grid(0.01, 1e4, points)
+    finest = log_omega_grid(0.01, 1e4, (points - 1) * 2 ** 8 + 1)
+    with pytest.raises(RefineGridError):
+        gnc(net, first)
+    assert np.all(np.isin(first, loci.omegas))
+    assert np.all(np.isin(loci.omegas, finest))
+    ref_loci, ref_verdict = gnc(net, loci.omegas)
     assert np.array_equal(loci.loci, ref_loci.loci)
     assert verdict == ref_verdict
-    assert np.array_equal(np.sort(np.concatenate(solved).imag), grids[level])
+    assert np.array_equal(np.sort(np.concatenate(solved).imag), loci.omegas)
+    if points == 800:  # the criterion-8 case near the PLL-gain boundary
+        assert loci.omegas.size < 2000
+
+
+@pytest.mark.parametrize("f_min, f_max, points", [
+    (0.01, 1e4, 800), (0.01, 1e4, 12), (0.01, 1e4, 100), (1.0, 2000.0, 400),
+    (3.3, 777.7, 57), (0.5, 60.0, 2)])
+def test_nested_grid_points_are_log_omega_grid_to_the_bit(f_min, f_max, points):
+    for doublings in range(1, 9):
+        count = (points - 1) * 2 ** doublings + 1
+        grid = log_omega_grid(f_min, f_max, count)
+        assert np.array_equal(grid[::2 ** doublings], log_omega_grid(f_min, f_max, points))
+        assert np.array_equal(stability._grid_points(f_min, f_max, count, np.arange(count)), grid)
 
 
 def test_gnc_agrees_with_mode_scan():
