@@ -48,14 +48,6 @@ _E_Q = np.array([0.0, 1.0])
 
 SCR_VALIDITY_LIMIT = 1e6
 
-BLACKBOX_HEADER = (
-    "freq_hz",
-    "re_ydd", "im_ydd",
-    "re_ydq", "im_ydq",
-    "re_yqd", "im_yqd",
-    "re_yqq", "im_yqq",
-)
-
 
 def _mat2(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]]: (2, 2) for scalar entries, (M, 2, 2) when a is an
@@ -294,7 +286,7 @@ class ShuntCapacitor(ParametricModel):
     b: float
     omega_b: float
 
-    kind: ClassVar[str] = "c"
+    kind: ClassVar[str] = "shunt_c"
 
     def __post_init__(self):
         if _any(self.b <= 0):
@@ -507,55 +499,6 @@ def sample_model(model: DeviceModel, freqs_hz) -> BlackBoxModel:
     """Tabulate any model on a frequency grid as a black-box device."""
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     return BlackBoxModel(freqs_hz, model.admittance(1j * 2.0 * math.pi * freqs_hz))
-
-
-def read_blackbox_table(path) -> BlackBoxModel:
-    """Load a frequency-response table from CSV (see BLACKBOX_HEADER)."""
-    import csv  # imported here: no other code reads CSV
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise MalformedTableError(f"{path}: empty table file") from None
-            if tuple(h.strip() for h in header) != BLACKBOX_HEADER:
-                raise MalformedTableError(
-                    f"{path}: bad header {header!r}, expected {','.join(BLACKBOX_HEADER)}"
-                )
-            freqs, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 9:
-                    raise MalformedTableError(f"{path}:{lineno}: expected 9 columns, got {len(row)}")
-                try:
-                    vals = [float(v) for v in row]
-                except ValueError as exc:
-                    raise MalformedTableError(f"{path}:{lineno}: {exc}") from None
-                freqs.append(vals[0])
-                rows.append(vals[1:])
-    except OSError as exc:
-        raise MalformedTableError(f"cannot read table {path}: {exc}") from exc
-    if len(freqs) < 2:
-        raise MalformedTableError(f"{path}: table needs at least 2 rows")
-    data = np.asarray(rows, dtype=float)
-    ydata = (data[:, 0::2] + 1j * data[:, 1::2]).reshape(-1, 2, 2)
-    return BlackBoxModel(freqs, ydata)
-
-
-def write_blackbox_table(path, model: DeviceModel, freqs_hz) -> None:
-    """Tabulate a model to the CSV exchange format at 17 significant digits."""
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    ydata = model.admittance(1j * 2.0 * math.pi * freqs_hz)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(BLACKBOX_HEADER) + "\n")
-        for f, y in zip(freqs_hz, ydata):
-            cells = [f"{f:.17g}"]
-            for v in y.ravel():
-                cells.append(f"{v.real:.17g}")
-                cells.append(f"{v.imag:.17g}")
-            fh.write(",".join(cells) + "\n")
 
 
 def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:

@@ -13,7 +13,8 @@ function declares each result table as one {column: values} mapping.
 
 Results are flat tables written as RFC-4180-style CSV at 17 significant
 digits, so re-parsing reproduces every float exactly.  Output files carry
-data only and are byte-identical across runs and thread counts.
+data only and are byte-identical across runs and thread counts.  A
+black-box device's frequency-response table is such a file too.
 
 SVG emission is deliberately dependency-free: log-frequency line charts
 with one path per column, and equal-aspect Nyquist planes with (-1, 0)
@@ -41,6 +42,7 @@ import numpy as np
 from . import network as net
 from . import passivity
 from .devices import (
+    BlackBoxModel,
     DeviceModel,
     GflConverterL1,
     GflParams,
@@ -50,27 +52,14 @@ from .devices import (
     RlBranch,
     ShuntCapacitor,
     TheveninGrid,
-    read_blackbox_table,
 )
 from .errors import (
+    MalformedTableError,
     NumericalFailure,
     ScenarioParseError,
     ScenarioValidationError,
     ValidationFailure,
 )
-
-# kind -> (what makes the model; the dataclass whose fields are its
-#   "params", or None for a table read from "path"; the keys its entry may
-#   hold next to those of its section).  A converter's op is parsed apart.
-#   The models check their own ranges.
-_MODELS = {
-    "rl": (RlBranch, RlBranch, ("kind", "params")),
-    "shunt_c": (ShuntCapacitor, ShuntCapacitor, ("kind", "params")),
-    "thevenin": (TheveninGrid, TheveninGrid, ("kind", "params")),
-    "gfl_l1": (GflConverterL1, GflParams, ("kind", "params", "op")),
-    "gfm_l1": (GfmConverterL1, GfmParams, ("kind", "params", "op")),
-    "blackbox": (read_blackbox_table, None, ("kind", "path", "params")),
-}
 
 # The keys the loader reads; any other key is a violation.
 _TOP_KEYS = ("schema", "name", "base", "grid", "buses", "branches", "shunts", "devices",
@@ -108,6 +97,34 @@ class ResultTable:
             raise ValueError(f"rows shape {rows.shape} does not match {len(self.columns)} columns")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
+
+
+# --- black-box tables -------------------------------------------------------
+
+# The columns of a black-box device's frequency-response table: a result
+# CSV with one row per frequency and Y(j 2 pi f) entry by entry.
+BLACKBOX_HEADER = ("freq_hz", "re_ydd", "im_ydd", "re_ydq", "im_ydq",
+                   "re_yqd", "im_yqd", "re_yqq", "im_yqq")
+
+
+def read_blackbox_table(path) -> BlackBoxModel:
+    """Load a frequency-response table (see BLACKBOX_HEADER)."""
+    table = read_result_csv(path)
+    if tuple(c.strip() for c in table.columns) != BLACKBOX_HEADER:
+        raise MalformedTableError(
+            f"{path}: bad header {list(table.columns)!r}, expected {','.join(BLACKBOX_HEADER)}")
+    if table.rows.shape[0] < 2:
+        raise MalformedTableError(f"{path}: table needs at least 2 rows")
+    data = table.rows[:, 1:]
+    return BlackBoxModel(table.rows[:, 0], (data[:, 0::2] + 1j * data[:, 1::2]).reshape(-1, 2, 2))
+
+
+def write_blackbox_table(path, model: DeviceModel, freqs_hz) -> None:
+    """Tabulate a model as a black-box table, at 17 significant digits."""
+    freqs_hz = np.asarray(freqs_hz, dtype=float)
+    y = model.admittance(1j * 2.0 * math.pi * freqs_hz).reshape(-1, 4)
+    rows = np.column_stack([freqs_hz, np.stack([y.real, y.imag], axis=-1).reshape(-1, 8)])
+    emit_csv(ResultTable(Path(path).stem, BLACKBOX_HEADER, rows), path)
 
 
 # --- scenario loading -------------------------------------------------------
@@ -169,6 +186,20 @@ def _read_fields(given, table, ctx, what, violations) -> dict | None:
     values = {name: _num(given, name, ctx, violations)
               for name, required in table.items() if required or name in given}
     return values if len(violations) == before else None
+
+
+# kind -> (what makes the model; the dataclass whose fields are its
+#   "params", or None for a table read from "path"; the keys its entry may
+#   hold next to those of its section).  A converter's op is parsed apart.
+#   The models check their own ranges.
+_MODELS = {
+    "rl": (RlBranch, RlBranch, ("kind", "params")),
+    "shunt_c": (ShuntCapacitor, ShuntCapacitor, ("kind", "params")),
+    "thevenin": (TheveninGrid, TheveninGrid, ("kind", "params")),
+    "gfl_l1": (GflConverterL1, GflParams, ("kind", "params", "op")),
+    "gfm_l1": (GfmConverterL1, GfmParams, ("kind", "params", "op")),
+    "blackbox": (read_blackbox_table, None, ("kind", "path", "params")),
+}
 
 
 def _build_model(doc, ctx, entry_keys, omega_b, base_dir, violations) -> DeviceModel | None:
@@ -626,12 +657,33 @@ def emit_csv(table: ResultTable, path) -> None:
 
 
 def read_result_csv(path) -> ResultTable:
-    """Re-parse an emitted CSV (used by tests for roundtrip checks)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    columns = tuple(lines[0].split(","))
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return ResultTable(name=Path(path).stem, columns=columns, rows=rows)
+    """The table emit_csv wrote: a header line, then rows of numbers;
+    blank lines are skipped.  Raises MalformedTableError naming the file
+    when it cannot be read as UTF-8 text, and naming path:line for an
+    empty file, a row not as long as the header or a cell that is no
+    number."""
+    import csv  # on the first read: writing results never needs it
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            nonblank = filter(None, reader)
+            columns = next(nonblank, None)
+            if columns is None:
+                raise MalformedTableError(f"{path}:1: empty table file")
+            rows = []
+            for row in nonblank:
+                try:
+                    if len(row) != len(columns):
+                        raise ValueError(f"expected {len(columns)} columns, got {len(row)}")
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise MalformedTableError(f"{path}:{reader.line_num}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedTableError(f"cannot read table {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise MalformedTableError(f"{path}:{reader.line_num}: {exc}") from None
+    return ResultTable(Path(path).stem, tuple(columns),
+                       np.array(rows, dtype=float).reshape(-1, len(columns)))
 
 
 # --- SVG emission -----------------------------------------------------------

@@ -111,8 +111,17 @@ def log_omega_grid(f_min_hz: float, f_max_hz: float, points: int = 400) -> np.nd
         raise ValueError("need 0 < f_min_hz < f_max_hz")
     if points < 2:
         raise ValueError("need at least 2 grid points")
-    f = np.logspace(math.log10(f_min_hz), math.log10(f_max_hz), points)
-    return 2.0 * math.pi * f
+    return log_omega_points(f_min_hz, f_max_hz, points, np.arange(points))
+
+
+def log_omega_points(f_min_hz: float, f_max_hz: float, count: int, idx: np.ndarray) -> np.ndarray:
+    """log_omega_grid(f_min_hz, f_max_hz, count)[idx], without building the
+    whole grid: numpy's logspace formula, point by point, so each point has
+    np.logspace's bits."""
+    start, stop = math.log10(f_min_hz), math.log10(f_max_hz)
+    y = idx * ((stop - start) / (count - 1)) + start
+    y[idx == count - 1] = stop
+    return 2.0 * math.pi * np.power(10.0, y)
 
 
 @dataclass(frozen=True)

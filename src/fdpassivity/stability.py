@@ -66,7 +66,7 @@ from .errors import (
 )
 from .network import Network, assemble_devices, assemble_net, assemble_nodal
 from .numerics import adjugate, determinant, eigenvalues, general_eigen, inverse
-from .passivity import eigenvalue_blocks, frequency_blocks, log_omega_grid
+from .passivity import eigenvalue_blocks, frequency_blocks, log_omega_grid, log_omega_points
 
 CRITICAL = -1.0 + 0.0j
 
@@ -243,15 +243,6 @@ def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerd
     return LoopGainLoci(omegas=omegas, loci=loci), _winding_verdict(omegas, loci)
 
 
-def _grid_points(f_min_hz: float, f_max_hz: float, count: int, idx: np.ndarray) -> np.ndarray:
-    """log_omega_grid(f_min_hz, f_max_hz, count)[idx] to the bit, without
-    building the whole grid: numpy's logspace, point by point."""
-    start, stop = math.log10(f_min_hz), math.log10(f_max_hz)
-    y = idx * ((stop - start) / (count - 1)) + start
-    y[idx == count - 1] = stop
-    return 2.0 * math.pi * np.power(10.0, y)
-
-
 def gnc_auto(
     network: Network,
     f_min_hz: float = 1e-2,
@@ -304,7 +295,7 @@ def gnc_auto(
             raise RefineGridError(f"{last} (after {passes} grids, "
                                   f"up to {omegas.size} points)") from last
         mids = (idx[bisect] + idx[bisect + 1]) // 2
-        new = _grid_points(f_min_hz, f_max_hz, finest, mids)
+        new = log_omega_points(f_min_hz, f_max_hz, finest, mids)
         idx = np.insert(idx, bisect + 1, mids)
         omegas = np.insert(omegas, bisect + 1, new)
         values = np.insert(values, bisect + 1, _loop_gain_eigenvalues(network, new), axis=0)

@@ -17,10 +17,16 @@ from fdpassivity.devices import (
     OperatingPoint,
     RlBranch,
     ShuntCapacitor,
+)
+from fdpassivity.io_cli import (
+    ANALYSES,
+    emit_csv,
+    fixture_path,
+    load_scenario,
     read_blackbox_table,
+    run,
     write_blackbox_table,
 )
-from fdpassivity.io_cli import ANALYSES, emit_csv, fixture_path, load_scenario, run
 from fdpassivity.network import (
     Branch,
     Device,

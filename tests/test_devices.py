@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fdpassivity.devices import (
-    BLACKBOX_HEADER,
     BlackBoxModel,
     GflConverterL1,
     GflParams,
@@ -17,16 +16,15 @@ from fdpassivity.devices import (
     ShuntCapacitor,
     TheveninGrid,
     param_derivative,
-    read_blackbox_table,
     rl_impedance,
     sample_model,
-    write_blackbox_table,
 )
 from fdpassivity.errors import (
     MalformedTableError,
     NotDifferentiableError,
     OutOfRangeError,
 )
+from fdpassivity.io_cli import BLACKBOX_HEADER, read_blackbox_table, write_blackbox_table
 from fdpassivity.numerics import hermitian_eigen
 from fdpassivity.passivity import hermitian_part, index_sweep, log_omega_grid
 

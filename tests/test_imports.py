@@ -5,8 +5,8 @@ first GNC tracking step whose greedy eigenvalue match collides.  Every
 other analysis runs on numpy alone.  concurrent.futures, and logging with
 it, is imported only when a sweep first maps over blocks on more than one
 thread.  io_cli imports the stability module only in the gnc, fdpf and
-modes analyses, so the other five never load it, and devices imports csv
-only to read a black-box table.  The tests here run in fresh
+modes analyses, so the other five never load it, and io_cli imports csv
+only to read a CSV file back.  The tests here run in fresh
 interpreters: in this process tests/oracles.py has already imported
 scipy, and earlier tests have loaded stability and csv.  The last test
 reads the source instead: no module imports a name it never uses.
@@ -123,8 +123,8 @@ assert io_cli.main(["gnc", "--scenario", str(path), "--out", {str(tmp_path)!r}])
 def test_reading_a_blackbox_table_loads_csv_and_parses_it(tmp_path):
     code = f"""
 import numpy as np
-from fdpassivity.devices import (GflConverterL1, GflParams, OperatingPoint,
-                                 read_blackbox_table, sample_model, write_blackbox_table)
+from fdpassivity.devices import GflConverterL1, GflParams, OperatingPoint, sample_model
+from fdpassivity.io_cli import read_blackbox_table, write_blackbox_table
 
 # not conftest's models: pytest imports csv
 op = OperatingPoint.from_terminal(p=0.7, q=0.2, v=1.0, omega_b=2 * np.pi * 60)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -17,8 +18,13 @@ from hypothesis import strategies as st
 
 import fdpassivity
 from fdpassivity import io_cli
-from fdpassivity.devices import BlackBoxModel, RlBranch, ShuntCapacitor, write_blackbox_table
-from fdpassivity.errors import ScenarioParseError, ScenarioValidationError, UnknownBusError
+from fdpassivity.devices import BlackBoxModel, RlBranch, ShuntCapacitor
+from fdpassivity.errors import (
+    MalformedTableError,
+    ScenarioParseError,
+    ScenarioValidationError,
+    UnknownBusError,
+)
 from fdpassivity.io_cli import (
     ANALYSES,
     PlotSpec,
@@ -28,8 +34,10 @@ from fdpassivity.io_cli import (
     fixture_path,
     load_scenario,
     main,
+    read_blackbox_table,
     read_result_csv,
     run,
+    write_blackbox_table,
 )
 from fdpassivity.network import (
     Branch,
@@ -359,6 +367,69 @@ def test_csv_roundtrip_empty_table(tmp_path):
     back = read_result_csv(path)
     assert back.rows.shape == (0, 2)
     assert back.columns == ("freq_hz", "re_lambda")
+
+
+@pytest.mark.parametrize("fixture", ["single_gfl.json", "three_bus.json"])
+def test_every_declared_analysis_round_trips_through_the_reader(tmp_path, fixture):
+    # the reader gives back what emit_csv wrote: the same columns, every
+    # number to the bit, and NaN exactly where the file says nan
+    scenario = load_scenario(fixture_path(fixture))
+    for analysis in scenario.analyses:
+        for table in run(scenario, analysis):
+            path = tmp_path / f"{table.name}.csv"
+            emit_csv(table, path)
+            back = read_result_csv(path)
+            assert (back.name, back.columns) == (table.name, table.columns)
+            cells = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+            nan = np.array(cells, dtype=str).reshape(table.rows.shape) == "nan"
+            assert np.array_equal(np.isnan(back.rows), nan)
+            assert np.array_equal(np.isnan(table.rows), nan)
+            assert np.array_equal(back.rows[~nan].view(np.uint64),
+                                  table.rows[~nan].view(np.uint64))
+
+
+def test_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\na,b\n\n1,-0\n\nnan,2.5\n\n", encoding="utf-8")
+    back = read_result_csv(path)
+    assert back.columns == ("a", "b")
+    assert np.array_equal(back.rows, [[1.0, -0.0], [np.nan, 2.5]], equal_nan=True)
+    assert np.signbit(back.rows[0, 1])
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a,b\n1,2\n3\n", 3),
+    ("a,b\n\n1,2,3\n", 3),
+    ("a,b\n1,2\n\n3,oops\n", 4),
+    ("", 1),
+    ("\n\n", 1),
+    ("a\n" + "1" * 200_000 + "\n", 2),
+], ids=["short_row", "long_row_after_blank", "not_a_number", "empty", "blank_lines_only",
+        "past_the_csv_field_limit"])
+def test_reader_names_the_file_and_line_of_a_malformed_table(tmp_path, text, line):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedTableError, match=re.escape(f"{path}:{line}: ")):
+        read_result_csv(path)
+
+
+@pytest.mark.parametrize("content", [None, b"a,b\n1,2\n\xff\xfe,3\n"],
+                         ids=["missing", "not_utf8"])
+def test_reader_names_a_file_it_cannot_read(tmp_path, content):
+    path = tmp_path / "t.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(MalformedTableError, match=re.escape(f"cannot read table {path}: ")):
+        read_result_csv(path)
+
+
+def test_every_scenario_kind_is_its_models_kind():
+    # a model's messages name it by the kind a scenario gives it
+    for kind, (make, _, _) in io_cli._MODELS.items():
+        model_class = BlackBoxModel if make is read_blackbox_table else make
+        assert model_class.kind == kind
+    with pytest.raises(ValueError, match="^shunt_c model has no parameter 'x'$"):
+        ShuntCapacitor(0.2, WB).get_param("x")
 
 
 @settings(max_examples=60, deadline=None)

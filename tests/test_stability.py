@@ -18,7 +18,7 @@ from fdpassivity.errors import (
 )
 from fdpassivity.network import Device, Network, Shunt, assemble_devices, assemble_net
 from fdpassivity.numerics import inverse
-from fdpassivity.passivity import log_omega_grid
+from fdpassivity.passivity import index_sweep, log_omega_grid
 from fdpassivity.stability import (
     fd_pf,
     gnc,
@@ -190,7 +190,8 @@ def test_nested_grid_points_are_log_omega_grid_to_the_bit(f_min, f_max, points):
         count = (points - 1) * 2 ** doublings + 1
         grid = log_omega_grid(f_min, f_max, count)
         assert np.array_equal(grid[::2 ** doublings], log_omega_grid(f_min, f_max, points))
-        assert np.array_equal(stability._grid_points(f_min, f_max, count, np.arange(count)), grid)
+        logspace = np.logspace(math.log10(f_min), math.log10(f_max), count)
+        assert np.array_equal(grid, 2 * math.pi * logspace)
 
 
 def test_gnc_agrees_with_mode_scan():
@@ -335,3 +336,57 @@ def test_mode_sensitivity_is_xi_times_participation():
     xi = xi_coefficient(net, root, WB)
     p = fd_pf(net, root)
     assert np.allclose(sens, xi * p.matrix, rtol=1e-12)
+
+
+# --- the paper's weak-grid study on the single-GFL system --------------------
+# At SCR 3 the converter is stable for every PLL gain below; at SCR 1.3 a
+# mode near 39.5 Hz crosses the j omega axis between k_p,pll 0.70 and 0.71.
+
+@pytest.mark.parametrize("k_p_pll", [0.14, 0.4, 0.66, 1.0, 2.0])
+def test_scr_3_is_stable_at_every_pll_gain(k_p_pll):
+    net = make_single_gfl(scr=3.0, k_p_pll=k_p_pll)
+    _, verdict = gnc_auto(net)
+    assert (verdict.encirclements, verdict.stable) == (0, True)
+    assert not mode_scan(net, WB).unstable
+
+
+@pytest.mark.parametrize("k_p_pll, stable", [(0.66, True), (0.71, False), (0.75, False),
+                                             (1.0, False)])
+def test_scr_1p3_is_unstable_past_the_pll_gain_boundary(k_p_pll, stable):
+    net = make_single_gfl(scr=1.3, k_p_pll=k_p_pll)
+    _, verdict = gnc_auto(net)
+    assert (verdict.encirclements, verdict.stable) == ((0, True) if stable else (-2, False))
+    assert mode_scan(net, WB).unstable is not stable
+
+
+def test_scr_1p3_boundary_lies_between_pll_gains_0p70_and_0p71():
+    # bracketed by refine_mode from the 0.66 case's rightmost mode: GNC cannot
+    # settle 0.70, whose mode lies 0.07 rad/s from the axis
+    modes = mode_scan(make_single_gfl(scr=1.3, k_p_pll=0.66), WB).modes
+    seed = max((m.lam for m in modes), key=lambda lam: lam.real)
+    assert seed == pytest.approx(-2.640 + 244.12j, abs=5e-3)
+    below = refine_mode(make_single_gfl(scr=1.3, k_p_pll=0.70), seed, WB)
+    above = refine_mode(make_single_gfl(scr=1.3, k_p_pll=0.71), seed, WB)
+    assert below.converged and above.converged
+    assert below.lam.real == pytest.approx(-0.070, abs=5e-4)
+    assert above.lam.real == pytest.approx(0.541, abs=5e-4)
+    assert 39.0 < below.frequency_hz < above.frequency_hz < 40.0
+    with pytest.raises(RefineGridError):
+        gnc_auto(make_single_gfl(scr=1.3, k_p_pll=0.70))
+
+
+def test_scr_1p3_crossing_lies_in_the_gfl_non_passive_band():
+    gfl = make_single_gfl(scr=1.3, k_p_pll=0.70).devices[0].model
+    index = index_sweep(gfl, np.array([2 * math.pi * 39.49])).indices[0]
+    assert index == pytest.approx(-1.117, abs=5e-4)
+
+
+def test_a_non_passive_gfl_on_a_stronger_grid_is_stable():
+    # non-passivity does not imply instability: the k_p,pll 0.4 GFL is
+    # non-passive over 1-49.66 Hz, yet stable against an SCR 3 grid
+    net = make_single_gfl(scr=3.0, k_p_pll=0.4)
+    freqs = np.arange(100, 4967) / 100.0
+    assert (freqs[0], freqs[-1]) == (1.0, 49.66)
+    assert np.all(index_sweep(net.devices[0].model, 2 * math.pi * freqs).indices < 0)
+    assert gnc_auto(net)[1].stable
+    assert not mode_scan(net, WB).unstable
