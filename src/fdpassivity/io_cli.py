@@ -324,10 +324,13 @@ def load_scenario(path) -> Scenario:
         raise ScenarioValidationError([f"{path}: top level must be a JSON object"])
 
     violations: list[str] = []
-    if doc.get("schema") != 1:
-        violations.append(f"schema: expected 1, got {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if isinstance(schema, bool) or schema != 1:  # True == 1, but 1.0 is accepted
+        violations.append(f"schema: expected 1, got {schema!r}")
     _reject_unknown(doc, _TOP_KEYS, "", "field", violations)
-    name = doc.get("name") or p.stem
+    name = doc.get("name", p.stem)
+    if not isinstance(name, str) or not name:
+        violations.append("name: expected a non-empty string")
 
     base = doc.get("base")
     f_hz = None

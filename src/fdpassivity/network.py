@@ -54,7 +54,6 @@ from .passivity import (
     frequency_blocks,
     frequency_chunks,
     hermitian_part,
-    is_degenerate,
     join_blocks,
     quadratic_form,
 )
@@ -338,8 +337,7 @@ def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
     def solve(h):
         eig = hermitian_eigen(h)
         # copy the one column so the full eigenvector matrices can be freed
-        return (eig.values, eig.min_vector.copy(),
-                is_degenerate(eig, np.linalg.norm(h, axis=(-2, -1))))
+        return eig.values, eig.min_vector.copy(), eig.degenerate
 
     spectra, min_vectors, degenerate = _sweep_blocks(network, omegas, solve, frequency_blocks)
     return NodalSpectrum(

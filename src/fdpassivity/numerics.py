@@ -30,6 +30,8 @@ from .errors import (
 
 # Relative symmetry tolerance for the Hermitian path.
 HERMITIAN_RTOL = 1e-9
+# An eigenvalue gap at or below this fraction of ||H||_F counts as degenerate.
+DEGENERACY_RTOL = 1e-9
 # Condition-number gates.
 COND_LIMIT = 1e14        # inverse refuses beyond this
 DEFECTIVE_COND = 1e12    # general eigenvector matrix flagged beyond this
@@ -40,12 +42,14 @@ class HermitianEigen(NamedTuple):
 
     values (..., n) are real and ascending, so values[..., 0] is the
     minimum eigenvalue; vectors (..., n, n) holds the matching orthonormal
-    right eigenvectors as columns.  The properties below are scalars for
-    one matrix and arrays over the stack otherwise.
+    right eigenvectors as columns; norm is ||H||_F, one per matrix.  The
+    properties below are scalars for one matrix and arrays over the stack
+    otherwise.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+    norm: np.ndarray = None
 
     @property
     def min_value(self):
@@ -61,6 +65,12 @@ class HermitianEigen(NamedTuple):
         if self.values.shape[-1] < 2:
             return np.zeros(self.values.shape[:-1])[()]
         return (self.values[..., 1] - self.values[..., 0])[()]
+
+    @property
+    def degenerate(self):
+        """Whether the minimum eigenvalue is not simple (eigen_gap at most
+        DEGENERACY_RTOL * norm), so that min_vector is not defined."""
+        return self.eigen_gap <= DEGENERACY_RTOL * self.norm
 
 
 class GeneralEigen(NamedTuple):
@@ -98,10 +108,11 @@ def _sum_squares(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", a, a)
 
 
-def _hermitian_stack(h, op: str) -> np.ndarray:
-    """h as a complex stack, after the checks both Hermitian solvers make:
-    NonFiniteError on NaN/inf entries, NotHermitianError when ||H -
-    H^dagger|| exceeds HERMITIAN_RTOL * ||H|| for any matrix of the stack."""
+def _hermitian_stack(h, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """h as a complex stack and ||H||_F of each matrix of it, after the
+    checks both Hermitian solvers make: NonFiniteError on NaN/inf entries,
+    NotHermitianError when ||H - H^dagger|| exceeds HERMITIAN_RTOL * ||H||
+    for any matrix of the stack."""
     h = _as_square(h, op, stacked=True)
     _check_finite(h, op)
     re, im = h.real, h.imag
@@ -118,18 +129,18 @@ def _hermitian_stack(h, op: str) -> np.ndarray:
             f"matrix is not Hermitian: ||H - H^dagger|| = {asym[k]:.3e} "
             f"(limit {HERMITIAN_RTOL * scale[k]:.3e})"
         )
-    return h
+    return h, scale.reshape(h.shape[:-2])[()]
 
 
 def hermitian_eigen(h) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix or a stack (..., n, n) of
     them, values ascending.  Raises as _hermitian_stack does."""
-    h = _hermitian_stack(h, "hermitian_eigen")
+    h, norm = _hermitian_stack(h, "hermitian_eigen")
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"hermitian_eigen failed to converge: {exc}") from exc
-    return HermitianEigen(values=values, vectors=vectors)
+    return HermitianEigen(values=values, vectors=vectors, norm=norm)
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -140,7 +151,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     hermitian_eigen(h).values matches this result to within 1e-14 of
     max|lambda| on the nodal matrices of the tests.
     """
-    h = _hermitian_stack(h, "hermitian_eigenvalues")
+    h, _ = _hermitian_stack(h, "hermitian_eigenvalues")
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:

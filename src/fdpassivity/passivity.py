@@ -11,8 +11,9 @@ first-order perturbation theory gives the exact parametric sensitivity
     d(index)/d(rho) = phi^dagger (dY/drho + (dY/drho)^dagger) phi
 
 valid while the minimum eigenvalue is simple.  Points where the two
-eigenvalues collide (within DEGENERACY_RTOL relative to ||H||_F) are
-flagged and their derivative reported as NaN rather than trusted.
+eigenvalues collide (HermitianEigen.degenerate, within
+numerics.DEGENERACY_RTOL relative to ||H||_F) are flagged and their
+derivative reported as NaN rather than trusted.
 
 Every sweep evaluates its grid in fixed-size blocks of frequencies: each
 block is one stacked admittance evaluation and one batched eigensolve,
@@ -33,11 +34,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .devices import DeviceModel, param_derivative
-from .numerics import HermitianEigen, hermitian_eigen
-
-# An eigenvalue gap below this fraction of ||H||_F counts as degenerate;
-# shared with the network-level sensitivity code.
-DEGENERACY_RTOL = 1e-9
+from .numerics import hermitian_eigen
 
 # A block holds as many frequencies as fit a stacked (B, n, n) complex
 # array in this many bytes: 5 at n = 80, the whole grid for 2x2 and 6x6;
@@ -97,12 +94,6 @@ def quadratic_form(w: np.ndarray, dy: np.ndarray):
     """Re w^dagger (dY + dY^dagger) w for 2-vectors w (..., 2) and 2x2 dY
     (..., 2, 2): a float, or an array over the stack."""
     return (w.conj()[..., None, :] @ hermitian_part(dy) @ w[..., :, None])[..., 0, 0].real[()]
-
-
-def is_degenerate(eig: HermitianEigen, h_norm):
-    """Whether the minimum eigenvalue is not simple; h_norm is ||H||_F,
-    one per matrix for a stack."""
-    return eig.eigen_gap <= DEGENERACY_RTOL * h_norm
 
 
 def log_omega_grid(f_min_hz: float, f_max_hz: float, points: int = 400) -> np.ndarray:
@@ -184,13 +175,11 @@ def param_passivity_sensitivity(model: DeviceModel, param_name: str, omegas) -> 
 
     def block(rows: slice):
         s = 1j * omegas[rows]
-        h = hermitian_part(model.admittance(s))
-        eig = hermitian_eigen(h)
-        degenerate = is_degenerate(eig, np.linalg.norm(h, axis=(-2, -1)))
-        ok = ~degenerate
-        d = np.full(degenerate.shape, math.nan)
+        eig = hermitian_eigen(hermitian_part(model.admittance(s)))
+        ok = ~eig.degenerate
+        d = np.full(ok.shape, math.nan)
         d[ok] = quadratic_form(eig.min_vector[ok], param_derivative(model, param_name, s[ok]))
-        return eig.min_value, d, degenerate
+        return eig.min_value, d, ~ok
 
     idx, d, degenerate = join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2)))
     return SensitivitySeries(

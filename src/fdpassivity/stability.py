@@ -58,7 +58,6 @@ from .errors import (
     DefectiveMatrixError,
     NoConvergenceError,
     NonFiniteError,
-    NumericalFailure,
     OutOfRegionError,
     RefineGridError,
     SingularMatrixError,
@@ -76,6 +75,11 @@ UNSTABLE_RE_RTOL = 1e-6
 
 # Muller steps a mode search may take before it counts as not converged.
 MAX_ITERATIONS = 100
+
+# What makes det Y_n not evaluable at a point: device poles make det Y_n
+# meromorphic, so an exact pole hit raises deep in a model, and a near one
+# can overflow an entry of Y_n.  Any other error propagates.
+NOT_EVALUABLE = (ZeroDivisionError, ValueError, SingularMatrixError, NonFiniteError)
 
 
 def loop_gain(network: Network, s) -> np.ndarray:
@@ -352,19 +356,6 @@ def fd_pf(network: Network, s: complex) -> FdParticipation:
     )
 
 
-def _try_det(network: Network, s: complex) -> complex | None:
-    """det Y_n(s), or None where it is not evaluable (device poles make
-    det meromorphic; an exact pole hit raises deep in a model, and a near
-    one can overflow an entry of Y_n)."""
-    try:
-        val = determinant(assemble_nodal(network, s))
-    except (ZeroDivisionError, SingularMatrixError, NonFiniteError, ValueError):
-        return None
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        return None
-    return val
-
-
 def _det_nudged(network: Network, s: complex, span: float) -> tuple[complex, complex] | None:
     """Evaluate det Y_n at s, stepping off non-evaluable points.
 
@@ -373,8 +364,8 @@ def _det_nudged(network: Network, s: complex, span: float) -> tuple[complex, com
     """
     x = complex(s)
     for attempt in range(4):
-        val = _try_det(network, x)
-        if val is not None:
+        val = _det_bisected(network, x)
+        if cmath.isfinite(val):
             return x, val
         x = complex(s) + span * 1e-3 * (attempt + 1) * complex(1.0, 1.0)
     return None
@@ -384,9 +375,8 @@ def _det_stack(network: Network, s: np.ndarray) -> np.ndarray:
     """det Y_n at each point of a 1-D array s, one stacked evaluation per
     frequency block.
 
-    A point where a model or the determinant raises (a device pole, a
-    black box off the j omega axis) gives NaN, and so may a point whose
-    det overflows.  The caller treats every non-finite value as not
+    A point where det Y_n is not evaluable gives NaN, and so may a point
+    whose det overflows.  The caller treats every non-finite value as not
     evaluable and re-runs the seed that met it with refine_mode, which
     steps off such a point or raises.
     """
@@ -394,14 +384,15 @@ def _det_stack(network: Network, s: np.ndarray) -> np.ndarray:
                            for rows in frequency_blocks(s.size, 2 * network.n_buses)])
 
 
-def _det_bisected(network: Network, s: np.ndarray) -> np.ndarray:
-    """det Y_n at each point of s as one stack; a stack that raises is
-    bisected, so only its failing points give NaN."""
+def _det_bisected(network: Network, s):
+    """det Y_n at a complex s (a complex), or at each point of a 1-D array
+    s as one stack (an array); NaN where NOT_EVALUABLE is raised.  A stack
+    that raises is bisected, so only its failing points give NaN."""
     try:
         return determinant(assemble_nodal(network, s))
-    except (ZeroDivisionError, ValueError, NumericalFailure):
-        if s.size == 1:
-            return np.full(1, complex(math.nan, math.nan))
+    except NOT_EVALUABLE:
+        if np.size(s) == 1:
+            return np.full(np.shape(s), complex(math.nan, math.nan))[()]
         half = s.size // 2
         return np.concatenate([_det_bisected(network, s[:half]),
                                _det_bisected(network, s[half:])])
@@ -583,17 +574,17 @@ def _lockstep(network: Network, seeds, omega_b: float, region) -> list:
 
     Gives, per seed, what refine_mode(network, seed, omega_b, region)
     would: its ModeEstimate or the exception it would raise.  None marks a
-    seed that met a point where det Y_n is not evaluable (or that starts
-    outside the region): refine_mode's nudging decides such a seed, so the
-    caller runs it alone.
+    seed that met a point where det Y_n is not evaluable: refine_mode's
+    nudging decides such a seed, so the caller runs it alone.  Every seed
+    must lie in the region.  An error other than NOT_EVALUABLE raised by
+    a stacked evaluation propagates.
     """
     outcomes: list = [None] * len(seeds)
-    starts = {k: _muller_start(s0, omega_b) for k, s0 in enumerate(seeds)
-              if _in_region(s0, region)}
-    dets = _det_stack(network, np.array([x for _, xs in starts.values() for x in xs],
+    starts = [_muller_start(s0, omega_b) for s0 in seeds]
+    dets = _det_stack(network, np.array([x for _, xs in starts for x in xs],
                                         dtype=complex)).reshape(-1, 3)
     searches = {k: _Muller(xs, [complex(f) for f in fs], d, omega_b, region)
-                for (k, (d, xs)), fs in zip(starts.items(), dets) if np.all(np.isfinite(fs))}
+                for k, ((d, xs), fs) in enumerate(zip(starts, dets)) if np.all(np.isfinite(fs))}
 
     for _ in range(MAX_ITERATIONS):
         if not searches:
@@ -644,10 +635,13 @@ def mode_scan(
 
     Every seed's Muller search advances in lockstep with the others, one
     stacked det Y_n per round, and gives what refine_mode from that seed
-    gives, to the bit; results are taken in seed order, so an error other
-    than a failed or wandering search is raised as a loop over the seeds
-    would raise it.  Seeds that fail to converge or wander off are dropped;
-    the scan is a coverage tool, not a completeness proof.
+    gives, to the bit; results are taken in seed order, so an error a
+    search raises, other than failing or wandering off, is raised as a
+    loop over the seeds would raise it.  An error det Y_n raises that does
+    not mark it not evaluable (a black box off the j omega axis) is raised
+    by the first stacked evaluation that meets it.  Seeds that fail to
+    converge or wander off are dropped; the scan is a coverage tool, not a
+    completeness proof.
     """
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range

@@ -71,7 +71,6 @@ from fdpassivity.passivity import (
     frequency_blocks,
     frequency_chunks,
     hermitian_part,
-    is_degenerate,
     log_omega_grid,
 )
 from fdpassivity.stability import (
@@ -259,7 +258,7 @@ def test_multi_block_nodal_sweep_same_bits_for_any_thread_count(monkeypatch):
         eig = hermitian_eigen(h)
         assert np.array_equal(eig.values, one.spectra[k])
         assert np.array_equal(eig.min_vector, one.min_vectors[k])
-        assert is_degenerate(eig, np.linalg.norm(h)) == one.degenerate[k]
+        assert eig.degenerate == one.degenerate[k]
 
 
 def test_nodal_sweep_evaluates_admittances_once_per_chunk(monkeypatch):
@@ -658,6 +657,24 @@ def test_lockstep_mode_scan_raises_for_a_black_box():
     for scan in (mode_scan, mode_scan_sequential):
         with pytest.raises(OutOfRangeError):
             scan(net, WB)
+
+
+def test_mode_scan_raises_for_a_black_box_from_the_stacked_evaluation(monkeypatch):
+    # a black box is not evaluable off the j omega axis, which no nudge
+    # mends: the scan neither bisects its stack down to single points nor
+    # re-runs a seed alone
+    net = make_single_gfl()
+    bb = sample_model(net.devices[0].model, np.geomspace(1.0, 2000.0, 60))
+    net = Network(buses=net.buses, shunts=net.shunts, devices=(Device("poc", "bb", bb),))
+    sizes, refined = [], []
+    assemble = stability.assemble_nodal
+    monkeypatch.setattr(stability, "assemble_nodal",
+                        lambda net, s: sizes.append(np.size(s)) or assemble(net, s))
+    monkeypatch.setattr(stability, "refine_mode", lambda *args, **kw: refined.append(args))
+    with pytest.raises(OutOfRangeError, match="only evaluable at s = j"):
+        mode_scan(net, WB)
+    assert refined == []
+    assert sizes and min(sizes) > 1
 
 
 def test_lockstep_mode_scan_raises_for_a_non_finite_iterate(monkeypatch):

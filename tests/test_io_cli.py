@@ -770,6 +770,38 @@ def test_a_device_named_like_a_shunt_exits_2(tmp_path, capsys, analysis):
     assert not (tmp_path / "o").exists()
 
 
+def _single_gfl_doc():
+    return json.loads(fixture_path("single_gfl.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("field, value, violation", [
+    ("name", 123, "name: expected a non-empty string"),
+    ("name", ["a"], "name: expected a non-empty string"),
+    ("name", {"x": 1}, "name: expected a non-empty string"),
+    ("name", True, "name: expected a non-empty string"),
+    ("name", "", "name: expected a non-empty string"),
+    ("name", None, "name: expected a non-empty string"),
+    ("schema", True, "schema: expected 1, got True"),
+])
+def test_a_bad_name_or_schema_exits_2_and_writes_nothing(tmp_path, capsys, field, value,
+                                                         violation):
+    # each once loaded and ran: a name ended up in SVG titles, and True == 1
+    doc = _single_gfl_doc()
+    doc[field] = value
+    p = write_scenario(tmp_path, doc)
+    code = main(["device-passivity", "--scenario", str(p), "--out", str(tmp_path / "o"), "--svg"])
+    assert code == 2
+    assert capsys.readouterr().err == f"scenario validation failed:\n  - {violation}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_absent_name_is_the_file_stem_and_schema_may_be_integral_float(tmp_path):
+    doc = _single_gfl_doc()
+    del doc["name"]
+    doc["schema"] = 1.0
+    assert load_scenario(write_scenario(tmp_path, doc, "my_case.json")).name == "my_case"
+
+
 def test_nodal_sens_at_the_bottom_of_a_parameter_range(tmp_path, capsys):
     # r = 0 is a valid RL branch, but r - h is not: the derivative steps up only
     doc = _three_bus_doc()

@@ -5,6 +5,7 @@ import pytest
 
 from fdpassivity.errors import NonFiniteError, NotHermitianError, SingularMatrixError
 from fdpassivity.numerics import (
+    DEGENERACY_RTOL,
     adjugate,
     determinant,
     general_eigen,
@@ -18,6 +19,24 @@ from oracles import adjugate_cofactor, hermitian_eigs_bisect
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a + a.conj().T
+
+
+def test_degenerate_flags_each_matrix_of_a_mixed_stack():
+    # a double minimum eigenvalue, a simple one, a gap just inside and one
+    # just outside the tolerance, and the zero matrix
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    spectra = [(1.0, 1.0, 3.0), (1.0, 2.0, 3.0), (1.0, 1.0 + 1e-12, 3.0),
+               (1.0, 1.0 + 1e-7, 3.0), (-2.0, -2.0, 5.0), (0.0, 0.0, 0.0)]
+    h = np.array([(u * d) @ u.conj().T for d in spectra])
+    h = (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
+    eig = hermitian_eigen(h)
+    expected = eig.eigen_gap <= DEGENERACY_RTOL * np.linalg.norm(h, axis=(-2, -1))
+    assert np.array_equal(eig.degenerate, expected)
+    assert eig.degenerate.tolist() == [True, False, True, False, True, True]
+    for k in range(len(h)):
+        one = hermitian_eigen(h[k])
+        assert np.ndim(one.degenerate) == 0 and one.degenerate == expected[k]
 
 
 def test_hermitian_eigen_residual_and_orthonormality():

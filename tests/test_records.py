@@ -16,7 +16,7 @@ from fdpassivity.numerics import GeneralEigen, HermitianEigen
 from fdpassivity.passivity import SensitivitySeries
 
 FIELDS = {
-    HermitianEigen: ("values", "vectors"),
+    HermitianEigen: ("values", "vectors", "norm"),
     GeneralEigen: ("values", "right", "left", "defective"),
     SensitivitySeries: ("param_name", "omegas", "indices", "derivatives", "degenerate"),
     Branch: ("from_bus", "to_bus", "model"),

@@ -18,7 +18,7 @@ from fdpassivity.errors import (
 )
 from fdpassivity.network import Device, Network, Shunt, assemble_devices, assemble_net
 from fdpassivity.numerics import inverse
-from fdpassivity.passivity import index_sweep, log_omega_grid
+from fdpassivity.passivity import index_sweep, log_omega_grid, param_passivity_sensitivity
 from fdpassivity.stability import (
     fd_pf,
     gnc,
@@ -390,3 +390,79 @@ def test_a_non_passive_gfl_on_a_stronger_grid_is_stable():
     assert np.all(index_sweep(net.devices[0].model, 2 * math.pi * freqs).indices < 0)
     assert gnc_auto(net)[1].stable
     assert not mode_scan(net, WB).unstable
+
+
+# --- passivation at SCR 1.3, k_p,pll 1.0, and where the index misleads -------
+# The index is read at the unstable mode's frequency; p * d(index)/dp ranks
+# the GFL's parameters, and a step in a highly ranked one is tried on the
+# mode itself.  Raising the index there stabilizes in two cases, but a
+# third raises it further and destabilizes: past the passive region the
+# index's value says nothing more about stability.
+
+def _unstable_gfl_case():
+    net = make_single_gfl(scr=1.3, k_p_pll=1.0)
+    scan = mode_scan(net, WB)
+    mode = max(scan.modes, key=lambda m: m.lam.real).lam
+    return net, scan, mode
+
+
+def _with_gfl_param(net, name, factor):
+    gfl = net.devices[0].model
+    model = gfl.with_param(name, gfl.get_param(name) * factor)
+    return model, Network(buses=net.buses, shunts=net.shunts,
+                          devices=(Device("poc", "GFL-1", model),))
+
+
+def test_scr_1p3_at_pll_gain_1_has_an_unstable_mode_in_the_non_passive_band():
+    net, scan, mode = _unstable_gfl_case()
+    assert scan.unstable
+    assert mode == pytest.approx(14.317 + 274.019j, abs=5e-3)
+    assert abs(mode.imag) / (2.0 * math.pi) == pytest.approx(43.611, abs=5e-4)
+    gfl = net.devices[0].model
+    index = index_sweep(gfl, np.array([abs(mode.imag)])).indices[0]
+    assert index == pytest.approx(-1.2710, abs=5e-4)
+
+
+def test_relative_index_sensitivities_rank_the_gfl_parameters():
+    net, _, mode = _unstable_gfl_case()
+    gfl = net.devices[0].model
+    omegas = np.array([abs(mode.imag)])
+    expected = {"k_p_pll": -0.7104, "k_p_i": 0.3252, "l_c": 0.2114, "k_i_i": -0.1428,
+                "k_i_pll": -0.1007, "t_v": -0.0277}
+    rel = {p: gfl.get_param(p) * param_passivity_sensitivity(gfl, p, omegas).derivatives[0]
+           for p in gfl.param_names()}
+    ranked = sorted(rel, key=lambda p: -abs(rel[p]))
+    assert ranked[:len(expected)] == list(expected)
+    for p, value in expected.items():
+        assert rel[p] == pytest.approx(value, abs=5e-4), p
+
+
+@pytest.mark.parametrize("param, factor, index, lam", [
+    ("k_p_i", 1.5, -1.1655, -22.887 + 333.137j),
+    ("t_v", 0.5, -1.1712, -2.929 + 378.356j),
+    ("t_v", 2.0, -1.1235, 17.472 + 200.903j),
+])
+def test_passivation_at_the_mode_frequency(param, factor, index, lam):
+    net, _, mode = _unstable_gfl_case()
+    model, changed = _with_gfl_param(net, param, factor)
+    got = index_sweep(model, np.array([abs(mode.imag)])).indices[0]
+    assert got == pytest.approx(index, abs=5e-4)
+    est = refine_mode(changed, mode, WB)
+    assert est.converged
+    assert est.lam == pytest.approx(lam, abs=5e-3)
+
+
+def test_a_higher_index_can_come_with_a_less_stable_mode():
+    # t_v x 2 raises the index above both stabilizing steps, yet its mode
+    # moves further right: the caveat of the paper
+    net, _, mode = _unstable_gfl_case()
+    omegas = np.array([abs(mode.imag)])
+    index, re = {}, {}
+    for step in (("k_p_i", 1.5), ("t_v", 0.5), ("t_v", 2.0)):
+        model, changed = _with_gfl_param(net, *step)
+        index[step] = index_sweep(model, omegas).indices[0]
+        re[step] = refine_mode(changed, mode, WB).lam.real
+    stabilizing = [("k_p_i", 1.5), ("t_v", 0.5)]
+    assert all(re[step] < 0.0 for step in stabilizing)
+    assert index["t_v", 2.0] > max(index[step] for step in stabilizing)
+    assert re["t_v", 2.0] > mode.real > 0.0
