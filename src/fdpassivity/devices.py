@@ -23,6 +23,7 @@ admittance(s) takes a scalar s or a 1-D array of M values and returns a
 bits as evaluating s[k] alone in Python's complex arithmetic, the way
 every published result was computed: complex products and quotients of
 arrays go through _cmul and _div, which round as that arithmetic rounds.
+A guard refusing elements of a stack names them in its error's points.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ def _col(x, ndim: int = 2):
     return x[(...,) + (None,) * ndim] if isinstance(x, np.ndarray) else x
 
 
+def _refuse(points, error: type, message: str, shape=None) -> None:
+    """If any of points is set, raise error(message) naming them in its points."""
+    if _any(points):
+        try:
+            raise error(message)
+        except error as exc:  # exc is unbound on leaving: it and this frame form no cycle
+            exc.points = points if shape is None else np.broadcast_to(points, shape)
+            raise
+
+
 # Python's own numbers: their arithmetic is the reference _div reproduces.
 _PLAIN = (complex, float, int)
 
@@ -103,8 +114,7 @@ def _div(a, b):
     br, bi = b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)
     big = np.where(by_real, br, bi)
-    if _any(big == 0):
-        raise ZeroDivisionError("complex division by zero")
+    _refuse(big == 0, ZeroDivisionError, "complex division by zero", out.shape)
     small = np.where(by_real, bi, br)
     ratio = small / big
     denom = big + small * ratio
@@ -123,8 +133,7 @@ def _inv2(m: np.ndarray, what: str) -> np.ndarray:
         return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = _cmul(m00, m11) - _cmul(m01, m10)
-    if _any(det == 0):
-        raise SingularMatrixError(f"{what} is singular at the requested frequency")
+    _refuse(det == 0, SingularMatrixError, f"{what} is singular at the requested frequency")
     return _mat2(m11, -m01, -m10, m00) / det[..., None, None]
 
 
@@ -347,8 +356,7 @@ class GflConverterL1(ParametricModel):
         object.__setattr__(self, "_frame", (x_c * J, J @ i0, J @ v0, J @ v_m0))
 
     def admittance(self, s) -> np.ndarray:
-        if _any(s == 0):
-            raise ValueError("GFL admittance is not evaluable at s = 0 (pure integrators)")
+        _refuse(s == 0, ValueError, "GFL admittance is not evaluable at s = 0 (pure integrators)")
         params, op = self.params, self.op
         wb = op.omega_b
         d_dec, j_i0, j_v0, j_vm0 = self._frame
@@ -397,21 +405,20 @@ class GfmConverterL1(ParametricModel):
         object.__setattr__(self, "_frame", (v0, i0, J @ e0))
 
     def admittance(self, s) -> np.ndarray:
-        if _any(s == 0):
-            raise ValueError("GFM admittance is not evaluable at s = 0 (angle integrator)")
+        _refuse(s == 0, ValueError, "GFM admittance is not evaluable at s = 0 (angle integrator)")
         params, wb = self.params, self.op.omega_b
         v0, i0, j_e0 = self._frame
         swing = _cmul(s, 2.0 * params.h_vsm * s + params.d_vsm)
-        if _any(swing == 0):
-            raise SingularMatrixError("GFM swing dynamics singular at the requested frequency")
+        _refuse(swing == 0, SingularMatrixError,
+                "GFM swing dynamics singular at the requested frequency")
         a = _div(wb, swing)
 
         y_v = _inv2(rl_impedance(params.r_v, params.l_v, s, wb), "virtual impedance")
         u = y_v @ j_e0        # current response to an angle swing
         row = i0 - v0 @ y_v   # delivered-power sensitivity to the terminal voltage
         denom = 1.0 + _cmul(a, (v0 @ u[..., :, None])[..., 0][()])
-        if _any(denom == 0):
-            raise SingularMatrixError("GFM power loop singular at the requested frequency")
+        _refuse(denom == 0, SingularMatrixError,
+                "GFM power loop singular at the requested frequency")
         return y_v + _col(a / denom) * (u[..., :, None] * row[..., None, :])
 
 

@@ -28,11 +28,12 @@ The loci tracker decides every greedy step at once and composes the
 step permutations by a prefix scan; only steps whose greedy match
 collides are settled one at a time.  The mode scan runs the Muller searches
 of all its seeds in lockstep: each round evaluates det Y_n at the next
-point of every live search as one stack, in the same blocks, and a seed
-that meets a point where det Y_n is not evaluable is re-run alone by
-refine_mode.  xi evaluates its four difference points as one stack and
-takes adj(Y_n) from one SVD (numerics.adjugate, O(n^3) at any size);
-refine_mode and the participation factors work at one s.
+point of every live search as one stack, again without the points a
+device guard names (one live search as a point); a seed that meets a
+point where det Y_n is not evaluable is re-run alone by refine_mode.  xi
+evaluates its four difference points as one stack and takes adj(Y_n)
+from one SVD (numerics.adjugate, O(n^3) at any size); refine_mode and the
+participation factors work at one s.
 
 Winding numbers come from summed principal-value angle increments around
 (-1, 0) along the positive-frequency sweep; the negative-frequency half
@@ -49,6 +50,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,7 +366,7 @@ def _det_nudged(network: Network, s: complex, span: float) -> tuple[complex, com
     """
     x = complex(s)
     for attempt in range(4):
-        val = _det_bisected(network, x)
+        val = complex(_det_stack(network, np.array([x]))[0])
         if cmath.isfinite(val):
             return x, val
         x = complex(s) + span * 1e-3 * (attempt + 1) * complex(1.0, 1.0)
@@ -372,30 +374,32 @@ def _det_nudged(network: Network, s: complex, span: float) -> tuple[complex, com
 
 
 def _det_stack(network: Network, s: np.ndarray) -> np.ndarray:
-    """det Y_n at each point of a 1-D array s, one stacked evaluation per
-    frequency block.
-
-    A point where det Y_n is not evaluable gives NaN, and so may a point
-    whose det overflows.  The caller treats every non-finite value as not
-    evaluable and re-runs the seed that met it with refine_mode, which
-    steps off such a point or raises.
-    """
-    return np.concatenate([_det_bisected(network, s[rows])
-                           for rows in frequency_blocks(s.size, 2 * network.n_buses)])
-
-
-def _det_bisected(network: Network, s):
-    """det Y_n at a complex s (a complex), or at each point of a 1-D array
-    s as one stack (an array); NaN where NOT_EVALUABLE is raised.  A stack
-    that raises is bisected, so only its failing points give NaN."""
-    try:
-        return determinant(assemble_nodal(network, s))
-    except NOT_EVALUABLE:
-        if np.size(s) == 1:
-            return np.full(np.shape(s), complex(math.nan, math.nan))[()]
-        half = s.size // 2
-        return np.concatenate([_det_bisected(network, s[:half]),
-                               _det_bisected(network, s[half:])])
+    """det Y_n at each point of a 1-D array s; NaN where that point alone
+    raises NOT_EVALUABLE or gives a Y_n with a non-finite entry.  A stack of
+    one is evaluated as a point; a larger one per frequency block, again
+    without the points a NOT_EVALUABLE error names, until none is refused."""
+    if s.size == 1:
+        with suppress(*NOT_EVALUABLE):
+            return np.array([determinant(assemble_nodal(network, complex(s[0])))])
+        return np.array([complex(math.nan, math.nan)])
+    dets = np.full(s.shape, complex(math.nan, math.nan))
+    for rows in frequency_blocks(s.size, 2 * network.n_buses):
+        live = np.arange(s.size)[rows]
+        while True:
+            try:
+                y = assemble_nodal(network, s[live])
+                break
+            except NOT_EVALUABLE as exc:
+                if getattr(exc, "points", None) is None:  # no telling which point to drop
+                    raise
+                live = live[~exc.points.reshape(live.size, -1).any(axis=1)]
+        try:
+            dets[live] = determinant(y)
+        except NonFiniteError:  # an overflow; checking every block first would cost more
+            finite = np.isfinite(y).all(axis=(-2, -1))
+            dets[live[finite]] = determinant(y[finite])
+        del y  # freed before the next block is assembled, which then reuses its memory
+    return dets
 
 
 def xi_coefficient(network: Network, lam: complex, omega_b: float) -> complex:
@@ -576,8 +580,7 @@ def _lockstep(network: Network, seeds, omega_b: float, region) -> list:
     would: its ModeEstimate or the exception it would raise.  None marks a
     seed that met a point where det Y_n is not evaluable: refine_mode's
     nudging decides such a seed, so the caller runs it alone.  Every seed
-    must lie in the region.  An error other than NOT_EVALUABLE raised by
-    a stacked evaluation propagates.
+    must lie in the region.  An error that _det_stack raises propagates.
     """
     outcomes: list = [None] * len(seeds)
     starts = [_muller_start(s0, omega_b) for s0 in seeds]

@@ -9,21 +9,23 @@ The set is every declared analysis of both bundled fixtures, the seeded
 the 10-bus benchmark ladder's modes, gnc and modes of the benchmark's
 single-GFL case at SCR 1.3 and k_p_pll 0.66, the unstable passivation
 case at SCR 1.3 and k_p_pll 1.0 (device-passivity, device-sens on k_p_i,
-gnc and modes), and five analyses of single_gfl with GFL-1 declared as a
-black-box table, each run as ``python -m fdpassivity.io_cli ANALYSIS
---svg``.  OUT_DIR/CASE/ receives each run's CSV and SVG files and
-ANALYSIS.stdout, ANALYSIS.stderr and ANALYSIS.exit; the scenario files go
-to OUT_DIR/scenarios/.  Every path a run prints is relative to OUT_DIR,
-so the outputs of two checkouts are equal exactly when
-``diff -r OUT_A OUT_B`` prints nothing.
+gnc and modes), modes of three_bus with re_min -500 and re_max 100 (seeds
+on the GFL voltage filter pole s = -500 and on s = 0), and five analyses
+of single_gfl with GFL-1 declared as a black-box table, each run as
+``python -m fdpassivity.io_cli ANALYSIS --svg``.  OUT_DIR/CASE/ receives
+each run's CSV and SVG files and ANALYSIS.stdout, ANALYSIS.stderr and
+ANALYSIS.exit; the scenario files go to OUT_DIR/scenarios/.  Every path a
+run prints is relative to OUT_DIR, so the outputs of two checkouts are
+equal exactly when ``diff -r OUT_A OUT_B`` prints nothing.
 
 The passivation scenario and the black-box one are written by this
-script from single_gfl.json.  The black-box table is written by it too,
-from GflConverterL1's admittance on the scenario grid at 17 significant
-digits, so every checkout reads the same file; modes exits 3 on it, since
-a black box is evaluable on the j omega axis only.  bench/inputs.py is
-read, never changed.  pytest does not collect this file: its name does
-not start with ``test_``.
+script from single_gfl.json, and the pole-seed one from three_bus.json.
+The black-box table is written by it too, from GflConverterL1's
+admittance on the scenario grid at 17 significant digits, so every
+checkout reads the same file; modes exits 3 on it, since a black box is
+evaluable on the j omega axis only.  bench/inputs.py is read, never
+changed.  pytest does not collect this file: its name does not start
+with ``test_``.
 """
 
 from __future__ import annotations
@@ -74,12 +76,13 @@ def cases(scenarios: Path) -> list[tuple[str, Path, list[str]]]:
     inputs.write_scenario(path, doc)
     runs.append((path.stem, path, ["gnc", "modes"]))
     runs.append(passivation_case(scenarios))
+    runs.append(pole_seeds_case(scenarios))
     runs.append(blackbox_case(scenarios))
     return runs
 
 
-def fixture_doc() -> dict:
-    return json.loads(io_cli.fixture_path("single_gfl.json").read_text(encoding="utf-8"))
+def fixture_doc(name: str = "single_gfl.json") -> dict:
+    return json.loads(io_cli.fixture_path(name).read_text(encoding="utf-8"))
 
 
 def write_doc(scenarios: Path, doc: dict, analyses) -> tuple[str, Path, list[str]]:
@@ -98,6 +101,16 @@ def passivation_case(scenarios: Path) -> tuple[str, Path, list[str]]:
     doc["devices"][0]["params"]["k_p_pll"] = 1.0
     doc["analyses"] = PASSIVATION_ANALYSES
     return write_doc(scenarios, doc, PASSIVATION_ANALYSES)
+
+
+def pole_seeds_case(scenarios: Path) -> tuple[str, Path, list[str]]:
+    """three_bus modes from seeds at Re s = -500, -400, ..., 100: one stacked
+    det Y_n holds the GFL voltage filter pole s = -500 and s = 0, which two
+    different guards refuse."""
+    doc = fixture_doc("three_bus.json")
+    doc["name"] = "three_bus_pole_seeds"
+    doc["analyses"] = {"modes": {"re_min": -500, "re_max": 100}}
+    return write_doc(scenarios, doc, doc["analyses"])
 
 
 def blackbox_case(scenarios: Path) -> tuple[str, Path, list[str]]:

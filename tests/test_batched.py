@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from fdpassivity import io_cli, network, passivity, stability
 from fdpassivity.devices import (
+    DeviceModel,
     GflConverterL1,
     GflParams,
     GfmConverterL1,
@@ -36,7 +37,9 @@ from fdpassivity.devices import (
     RlBranch,
     ShuntCapacitor,
     TheveninGrid,
+    combine,
     param_derivative,
+    rl_impedance,
     sample_model,
 )
 from fdpassivity.errors import (
@@ -201,6 +204,62 @@ def test_guards_raise_for_any_element_of_a_stack(gfl_model):
     # a pure inductance is singular in the dq frame at s = j omega_b
     with pytest.raises(SingularMatrixError):
         RlBranch(0.0, 0.5, WB).admittance(np.append(s, 1j * WB))
+
+
+def combined_rl():
+    # a line and a pure inductance merged into one evaluator: it takes
+    # s[..., None] and refuses the (M, C) elements where an impedance is singular
+    ((model, _, merged),) = combine([RlBranch(0.086, 0.69, WB), RlBranch(0.0, 0.5, WB)])
+    assert merged
+    return lambda s: model.admittance(s[..., None])
+
+
+GFL_OP, GFM_OP = op_point(0.7, 0.2, 1.0), op_point(-0.35, 0.1, 1.0)
+
+# guard -> (an evaluator of a stack, the one point of the stack it refuses,
+#   its error, its message)
+GUARDS = {
+    # 1 + s t_v = 0 at s = -1 / t_v: the voltage filter's divisor vanishes
+    "div": (lambda: GflConverterL1(GflParams(), GFL_OP).admittance, -500.0,
+            ZeroDivisionError, "complex division by zero"),
+    "inv2": (lambda: RlBranch(0.0, 0.5, WB).admittance, 1j * WB,
+             SingularMatrixError, "RL impedance is singular"),
+    "inv2_combined": (combined_rl, 1j * WB, SingularMatrixError, "RL impedance is singular"),
+    "gfl_s0": (lambda: GflConverterL1(GflParams(), GFL_OP).admittance, 0.0,
+               ValueError, "pure integrators"),
+    "gfm_s0": (lambda: GfmConverterL1(GfmParams(), GFM_OP).admittance, 0.0,
+               ValueError, "angle integrator"),
+    # 2 H s + D = 0 at s = -50 for H = 3, D = 300
+    "gfm_swing": (lambda: GfmConverterL1(GfmParams(h_vsm=3.0, d_vsm=300.0), GFM_OP).admittance,
+                  -50.0, SingularMatrixError, "swing dynamics"),
+    # with H = 2 the power loop's 1 + a v0^T u rounds to exactly 0 at this
+    # real s, a float next to its root near -4.4546 rad/s
+    "gfm_power_loop": (lambda: GfmConverterL1(GfmParams(h_vsm=2.0), GFM_OP).admittance,
+                       -4.454597938543726, SingularMatrixError, "power loop"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_names_exactly_the_points_it_refuses(guard):
+    make, bad, error, message = GUARDS[guard]
+    evaluate = make()
+    s = np.insert(1j * 2 * math.pi * np.array([5.0, 50.0, 500.0, 5000.0]), 2, bad)
+    with pytest.raises(error, match=message) as info:
+        evaluate(s)
+    points = np.asarray(info.value.points)
+    assert points.shape[0] == s.size
+    assert np.flatnonzero(points.reshape(s.size, -1).any(axis=1)).tolist() == [2]
+    with pytest.raises(error, match=message):  # the point alone is refused as well
+        evaluate(s[2:3])
+
+
+def test_a_divisor_without_the_s_axis_names_every_point():
+    # a base frequency of 0 rad/s divides every s by zero: the mask is
+    # broadcast to the quotient, so its leading axis is still the s axis
+    s = 1j * np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ZeroDivisionError) as info:
+        rl_impedance(0.1, 0.5, s, 0.0)
+    assert info.value.points.shape == s.shape and info.value.points.all()
 
 
 def test_hermitian_eigen_checks_every_matrix_of_a_stack():
@@ -605,6 +664,7 @@ def test_mode_sensitivity_matches_oracle_adjugate_criterion_8(monkeypatch, scr, 
        im_width=st.floats(0.0, 4000.0))
 @example(n_re=2, n_im=3, re_lo=-500.0, re_width=700.0, im_lo=0.0, im_width=3000.0)
 @example(n_re=1, n_im=1, re_lo=5e-250, re_width=0.0, im_lo=5e-250, im_width=0.0)
+@example(n_re=3, n_im=2, re_lo=-300.0, re_width=600.0, im_lo=0.0, im_width=3000.0)
 def test_lockstep_mode_scan_matches_sequential_on_any_grid(n_re, n_im, re_lo, re_width,
                                                            im_lo, im_width):
     # re_lo = -500 puts a seed on the voltage filter pole s = -1 / t_v
@@ -648,6 +708,103 @@ def test_lockstep_reruns_a_seed_on_a_model_pole_alone(monkeypatch):
                             net, s0, *args, **kw))
     mode_scan(make_single_gfl(), WB)
     assert seeds == [complex(-1.0 / GflParams().t_v, 0.0)]
+
+
+def recorded_assembly(monkeypatch) -> list:
+    """The s of every assemble_nodal call stability makes from now on."""
+    calls = []
+    assemble = stability.assemble_nodal
+    monkeypatch.setattr(stability, "assemble_nodal",
+                        lambda net, s: calls.append(s) or assemble(net, s))
+    return calls
+
+
+def test_det_stack_assembles_the_first_stack_again_without_its_pole(monkeypatch):
+    # the default scan's seed -500 + 0j sits on the GFL voltage filter pole
+    # s = -1 / t_v: its error names that point, and one more assembly
+    # evaluates the other 230; the bisection took 17
+    net = make_single_gfl()
+    stacks = []
+    det_stack = stability._det_stack
+    monkeypatch.setattr(stability, "_det_stack",
+                        lambda net, s: stacks.append(s) or det_stack(net, s))
+    mode_scan(net, WB)
+    monkeypatch.undo()
+    s = stacks[0]
+    calls = recorded_assembly(monkeypatch)
+    dets = stability._det_stack(net, s)
+    assert [np.size(c) for c in calls] == [231, 230]
+    assert s[~np.isfinite(dets)].tolist() == [complex(-1.0 / GflParams().t_v, 0.0)]
+    assert np.isnan(dets[s == -500.0]).all()
+    monkeypatch.undo()
+    for sk, det in zip(s, dets):
+        if sk != -500.0:
+            assert det == determinant(assemble_nodal(net, complex(sk)))
+
+
+def test_det_stack_refuses_exactly_the_points_refused_alone_on_three_bus(monkeypatch):
+    # s = 0: the GFMs' angle integrators; -50: their swing pole (H = 3,
+    # D = 300); -500: the GFL voltage filter pole; 5.26e-250 (1 + j): the
+    # PLL's k_i / s overflows, so Y_n has non-finite entries and no error
+    net = make_three_bus()
+    s = np.array([2j * math.pi * 40.0, 0.0, -30.0 + 200.0j, -50.0, 1.0 + 1.0j, -500.0,
+                  5.26e-250 * (1.0 + 1.0j), -400.0 + 3000.0j])
+    bad = [1, 3, 5, 6]
+    calls = recorded_assembly(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = stability._det_stack(net, s)
+    assert len(calls) <= len(bad) + 1
+    assert np.flatnonzero(np.isnan(dets)).tolist() == bad
+    assert np.isfinite(np.delete(dets, bad)).all()
+    monkeypatch.undo()
+    for k, sk in enumerate(s):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = assemble_nodal(net, complex(sk))
+        except stability.NOT_EVALUABLE:
+            assert k in bad
+            continue
+        if k in bad:
+            assert not np.isfinite(y).all()
+        else:
+            assert dets[k] == determinant(y)
+
+
+class UnnamedRefusal(DeviceModel):
+    """A device that refuses every s with a ValueError naming no points."""
+
+    def admittance(self, s):
+        raise ValueError("refused without naming a point")
+
+
+def test_det_stack_raises_a_refusal_that_names_no_points():
+    # a stack cannot tell which of its points such an error refuses; one
+    # point evaluated alone is refused by it
+    net = Network(buses=("b",), devices=(Device("b", "x", UnnamedRefusal()),))
+    with pytest.raises(ValueError, match="without naming a point"):
+        stability._det_stack(net, np.array([1j, 2j]))
+    assert np.isnan(stability._det_stack(net, np.array([1j]))).all()
+
+
+def test_a_round_with_one_live_search_evaluates_a_point(monkeypatch):
+    # one seed: the start stack holds three points, and every later round
+    # has one live search, which is assembled at a complex scalar
+    net = make_single_gfl(scr=1.3, k_p_pll=0.66)
+    ranges = dict(re_range=(-20.0, -20.0), im_range=(250.0, 250.0), n_re=1, n_im=1)
+    expected = mode_scan_sequential(net, WB, **ranges)
+    calls = recorded_assembly(monkeypatch)
+    assert mode_scan(net, WB, **ranges) == expected
+    assert np.shape(calls[0]) == (3,)
+    assert len(calls) > 1 and all(type(s) is complex for s in calls[1:])
+
+
+def test_lockstep_mode_scan_matches_sequential_with_seeds_on_three_bus_poles():
+    # seeds on s = -500 (GFL voltage filter pole), -50 (GFM swing pole) and
+    # 0 (every converter's integrators): one stack is refused by two guards
+    net = make_three_bus()
+    ranges = dict(re_range=(-500.0, 100.0), n_re=13)
+    assert {-500.0, -50.0, 0.0} <= set(np.linspace(-500.0, 100.0, 13).tolist())
+    assert mode_scan(net, WB, **ranges) == mode_scan_sequential(net, WB, **ranges)
 
 
 def test_lockstep_mode_scan_raises_for_a_black_box():
