@@ -467,12 +467,13 @@ class BlackBoxModel(DeviceModel):
         f = np.asarray(self.freqs_hz, dtype=float)
         y = np.asarray(self.ydata, dtype=complex)
         if f.ndim != 1 or f.size < 2:
-            raise MalformedTableError("table needs at least 2 frequency rows")
-        if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-            raise MalformedTableError("table frequencies must be positive and strictly increasing")
+            raise MalformedTableError("table needs at least 2 rows")
+        if not (np.isfinite(f).all() and (f > 0).all() and (np.diff(f) > 0).all()):
+            raise MalformedTableError(
+                "table frequencies must be finite, positive and strictly increasing")
         if y.shape != (f.size, 2, 2):
             raise MalformedTableError(f"table data must have shape ({f.size}, 2, 2), got {y.shape}")
-        if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
+        if not np.isfinite(y).all():
             raise MalformedTableError("table contains non-finite admittance entries")
         object.__setattr__(self, "freqs_hz", f)
         object.__setattr__(self, "ydata", y)
@@ -541,7 +542,7 @@ def param_derivative(model: DeviceModel, param_name: str, s) -> np.ndarray:
         d = 2.0 * one_sided(-side / 2.0) - one_sided(-side)
     else:
         d = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    bad = np.ravel(~(np.isfinite(d.real) & np.isfinite(d.imag)).all(axis=(-2, -1)))
+    bad = np.ravel(~np.isfinite(d).all(axis=(-2, -1)))
     if np.any(bad):
         raise NonFiniteError(
             f"derivative of {model.kind} admittance w.r.t. {param_name!r} is not finite "

@@ -52,6 +52,7 @@ from .devices import (
     RlBranch,
     ShuntCapacitor,
     TheveninGrid,
+    sample_model,
 )
 from .errors import (
     MalformedTableError,
@@ -108,22 +109,26 @@ BLACKBOX_HEADER = ("freq_hz", "re_ydd", "im_ydd", "re_ydq", "im_ydq",
 
 
 def read_blackbox_table(path) -> BlackBoxModel:
-    """Load a frequency-response table (see BLACKBOX_HEADER)."""
+    """Load a frequency-response table (see BLACKBOX_HEADER).  BlackBoxModel
+    checks all but the header, and every MalformedTableError names the file."""
     table = read_result_csv(path)
     if tuple(c.strip() for c in table.columns) != BLACKBOX_HEADER:
         raise MalformedTableError(
             f"{path}: bad header {list(table.columns)!r}, expected {','.join(BLACKBOX_HEADER)}")
-    if table.rows.shape[0] < 2:
-        raise MalformedTableError(f"{path}: table needs at least 2 rows")
     data = table.rows[:, 1:]
-    return BlackBoxModel(table.rows[:, 0], (data[:, 0::2] + 1j * data[:, 1::2]).reshape(-1, 2, 2))
+    y = (data[:, 0::2] + 1j * data[:, 1::2]).reshape(-1, 2, 2)
+    try:
+        return BlackBoxModel(table.rows[:, 0], y)
+    except MalformedTableError as exc:
+        raise MalformedTableError(f"{path}: {exc}") from None
 
 
 def write_blackbox_table(path, model: DeviceModel, freqs_hz) -> None:
-    """Tabulate a model as a black-box table, at 17 significant digits."""
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    y = model.admittance(1j * 2.0 * math.pi * freqs_hz).reshape(-1, 4)
-    rows = np.column_stack([freqs_hz, np.stack([y.real, y.imag], axis=-1).reshape(-1, 8)])
+    """Tabulate a model as a black-box table, at 17 significant digits; a
+    table that read_blackbox_table would refuse raises, and nothing is written."""
+    table = sample_model(model, freqs_hz)
+    y = table.ydata.reshape(-1, 4)
+    rows = np.column_stack([table.freqs_hz, np.stack([y.real, y.imag], axis=-1).reshape(-1, 8)])
     emit_csv(ResultTable(Path(path).stem, BLACKBOX_HEADER, rows), path)
 
 

@@ -17,6 +17,7 @@ index.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -90,17 +91,27 @@ class GeneralEigen(NamedTuple):
     defective: np.ndarray
 
 
-def _as_square(a, op: str, stacked: bool = False) -> np.ndarray:
+def _checked(a, op: str, stacked: bool = True) -> np.ndarray:
+    """a as a complex square matrix, or a stack (..., n, n) of them when
+    stacked: ValueError for any other shape, NonFiniteError for a NaN or
+    inf entry.  Every kernel checks its input here."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-2] != a.shape[-1]:
         what = "a square matrix or a stack of them" if stacked else "a square matrix"
         raise ValueError(f"{op} expects {what}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{op}: matrix contains non-finite entries")
     return a
 
 
-def _check_finite(a: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonFiniteError(f"{op}: matrix contains non-finite entries")
+@contextmanager
+def _lapack(op: str):
+    """Raises numpy's LinAlgError as NoConvergenceError naming op: the one
+    rule for a LAPACK failure in every kernel."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"{op} failed to converge: {exc}") from exc
 
 
 def _sum_squares(a: np.ndarray) -> np.ndarray:
@@ -113,8 +124,7 @@ def _hermitian_stack(h, op: str) -> tuple[np.ndarray, np.ndarray]:
     checks both Hermitian solvers make: NonFiniteError on NaN/inf entries,
     NotHermitianError when ||H - H^dagger|| exceeds HERMITIAN_RTOL * ||H||
     for any matrix of the stack."""
-    h = _as_square(h, op, stacked=True)
-    _check_finite(h, op)
+    h = _checked(h, op)
     re, im = h.real, h.imag
     # Frobenius norms from the real and imaginary parts, one real
     # temporary at a time: the real part of H - H^dagger is Re H - Re H^T,
@@ -136,10 +146,8 @@ def hermitian_eigen(h) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix or a stack (..., n, n) of
     them, values ascending.  Raises as _hermitian_stack does."""
     h, norm = _hermitian_stack(h, "hermitian_eigen")
-    try:
+    with _lapack("hermitian_eigen"):
         values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"hermitian_eigen failed to converge: {exc}") from exc
     return HermitianEigen(values=values, vectors=vectors, norm=norm)
 
 
@@ -152,10 +160,8 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     max|lambda| on the nodal matrices of the tests.
     """
     h, _ = _hermitian_stack(h, "hermitian_eigenvalues")
-    try:
+    with _lapack("hermitian_eigenvalues"):
         return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"hermitian_eigenvalues failed to converge: {exc}") from exc
 
 
 def _value_order(values: np.ndarray) -> np.ndarray:
@@ -173,22 +179,18 @@ def general_eigen(a) -> GeneralEigen:
     matrix; where that matrix is numerically singular the decomposition is
     flagged defective and a pseudo-inverse is returned instead.
     """
-    a = _as_square(a, "general_eigen", stacked=True)
-    _check_finite(a, "general_eigen")
-    try:
+    a = _checked(a, "general_eigen")
+    with _lapack("general_eigen"):
         values, right = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"general_eigen failed to converge: {exc}") from exc
+        order = _value_order(values)
+        values = np.take_along_axis(values, order, axis=-1)
+        right = np.take_along_axis(right, order[..., None, :], axis=-1)
 
-    order = _value_order(values)
-    values = np.take_along_axis(values, order, axis=-1)
-    right = np.take_along_axis(right, order[..., None, :], axis=-1)
-
-    cond = np.linalg.cond(right)
-    defective = ~np.isfinite(cond) | (cond > DEFECTIVE_COND)
-    left = np.empty_like(right)
-    left[~defective] = np.linalg.inv(right[~defective])
-    left[defective] = np.linalg.pinv(right[defective])
+        cond = np.linalg.cond(right)
+        defective = ~np.isfinite(cond) | (cond > DEFECTIVE_COND)
+        left = np.empty_like(right)
+        left[~defective] = np.linalg.inv(right[~defective])
+        left[defective] = np.linalg.pinv(right[defective])
     return GeneralEigen(values=values, right=right, left=left, defective=defective[()])
 
 
@@ -201,12 +203,9 @@ def eigenvalues(a) -> np.ndarray:
     matrices of the tests, and on 80x80 loop gains of 40-bus networks to
     within 1e-14 of max|lambda| (5.5e-15 at worst, measured).
     """
-    a = _as_square(a, "eigenvalues", stacked=True)
-    _check_finite(a, "eigenvalues")
-    try:
+    a = _checked(a, "eigenvalues")
+    with _lapack("eigenvalues"):
         values = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalues failed to converge: {exc}") from exc
     return np.take_along_axis(values, _value_order(values), axis=-1)
 
 
@@ -214,8 +213,7 @@ def determinant(a):
     """Determinant via LU of a matrix (a complex) or of each matrix of a
     stack (..., n, n) (an array).  Never raises on singular input; raises
     NonFiniteError when any matrix has a non-finite entry."""
-    a = _as_square(a, "determinant", stacked=True)
-    _check_finite(a, "determinant")
+    a = _checked(a, "determinant")
     det = np.linalg.det(a)
     return complex(det) if a.ndim == 2 else det
 
@@ -228,12 +226,9 @@ def adjugate(a) -> np.ndarray:
     suffix products with no division: A @ adj(A) == det(A) * I holds for
     singular A too, and a 1x1 matrix gives [[1]].
     """
-    a = _as_square(a, "adjugate")
-    _check_finite(a, "adjugate")
-    try:
+    a = _checked(a, "adjugate", stacked=False)
+    with _lapack("adjugate"):
         u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"adjugate failed to converge: {exc}") from exc
     p = np.cumprod(np.r_[1.0, s[:-1]]) * np.cumprod(np.r_[1.0, s[:0:-1]])[::-1]
     return np.linalg.det(u) * np.linalg.det(vh) * (vh.conj().T * p) @ u.conj().T
 
@@ -250,8 +245,7 @@ def _cond_or_inf(a: np.ndarray) -> float:
 def inverse(a) -> np.ndarray:
     """Inverse of a matrix or of each matrix of a stack (..., n, n); raises
     SingularMatrixError when the cond of any of them exceeds COND_LIMIT."""
-    a = _as_square(a, "inverse", stacked=True)
-    _check_finite(a, "inverse")
+    a = _checked(a, "inverse")
     if _cond_or_inf(a) > COND_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond > {COND_LIMIT:.0e})"

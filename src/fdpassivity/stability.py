@@ -193,19 +193,14 @@ def _winding_verdict(omegas: np.ndarray, loci: np.ndarray) -> GncVerdict:
     coarse = ((near < 1.0) & (step >= 0.25 * near)).any(axis=0)
     angles = np.angle(rel[:, 1:] / rel[:, :-1])
     jumps = (np.abs(angles) > 0.95 * math.pi).any(axis=0)
-    flagged = np.flatnonzero(coarse | jumps)
-    if coarse.any():
-        k = int(np.argmax(coarse))
-        raise RefineGridError(
-            f"eigenlocus displacement exceeds a quarter of the distance to (-1, 0) "
-            f"between omega={omegas[k]:.6g} and omega={omegas[k + 1]:.6g} rad/s",
-            intervals=flagged)
-    if jumps.any():
-        k = int(np.argmax(jumps))
-        raise RefineGridError(
-            f"angle increment around (-1, 0) near pi between "
-            f"omega={omegas[k]:.6g} and omega={omegas[k + 1]:.6g} rad/s",
-            intervals=flagged)
+    for guard, text in ((coarse, "eigenlocus displacement exceeds a quarter of the distance "
+                                 "to (-1, 0)"),
+                        (jumps, "angle increment around (-1, 0) near pi")):
+        if guard.any():
+            k = int(np.argmax(guard))
+            raise RefineGridError(f"{text} between omega={omegas[k]:.6g} and "
+                                  f"omega={omegas[k + 1]:.6g} rad/s",
+                                  intervals=np.flatnonzero(coarse | jumps))
 
     # Conjugate closure: the negative-frequency mirror repeats the swept
     # total, and the junction segments contribute the angle between each

@@ -3,6 +3,7 @@
 Usage (from a checkout, with the fdpassivity under test on PYTHONPATH):
 
     PYTHONPATH=src python tests/snapshot_outputs.py OUT_DIR
+    PYTHONPATH=src python tests/snapshot_outputs.py --compare OUT_A OUT_B
 
 The set is every declared analysis of both bundled fixtures, the seeded
 40-bus benchmark ladder's nodal-passivity, nodal-sens and participation,
@@ -26,6 +27,18 @@ checkout reads the same file; modes exits 3 on it, since a black box is
 evaluable on the j omega axis only.  bench/inputs.py is read, never
 changed.  pytest does not collect this file: its name does not start
 with ``test_``.
+
+``--compare OUT_A OUT_B`` compares two such directories, OUT_A before
+and OUT_B after a change, and prints one line per CSV column and per other
+file.  A CSV (read with io_cli.read_result_csv) reports, per column, the
+largest |a - b| / max|b|; a value passes when |a - b| <= 1e-6 |b| + 1e-8
+max|b| over its column, NaN matches only NaN and an infinity only itself.
+The columns in EXACT_COLUMNS (verdicts, counts, flags) must match exactly.
+Other files are reported equal or changed.  Files, columns and rows only
+one side has are reported as added or removed.  The exit status is 1 when
+a value breaks its tolerance, an exact column or an exit code differs, or
+a file, column or row is added or removed, and 0 otherwise: a changed SVG,
+stdout or stderr file alone is reported but passes.
 """
 
 from __future__ import annotations
@@ -39,12 +52,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fdpassivity
 from fdpassivity import io_cli
+from fdpassivity.errors import MalformedTableError
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 BLACKBOX_COLUMNS = "freq_hz,re_ydd,im_ydd,re_ydq,im_ydq,re_yqd,im_yqd,re_yqq,im_yqq"
 BLACKBOX_ANALYSES = ("device-passivity", "nodal-passivity", "participation", "gnc", "modes")
+# Columns compared exactly: verdicts, counts and flags.
+EXACT_COLUMNS = ("stable", "unstable", "encirclements", "n_modes", "n_tied", "degenerate",
+                 "standalone_stable_asserted")
+RTOL, ATOL = 1e-6, 1e-8  # |a - b| <= RTOL |b| + ATOL max|b| over the column
 PASSIVATION_ANALYSES = {"device-passivity": {"device": "GFL-1"},
                         "device-sens": {"device": "GFL-1", "param": "k_p_i", "delta_pct": 5.0},
                         "gnc": {}, "modes": {}}
@@ -132,7 +152,68 @@ def blackbox_case(scenarios: Path) -> tuple[str, Path, list[str]]:
     return write_doc(scenarios, doc, BLACKBOX_ANALYSES)
 
 
+def column_change(a: np.ndarray, b: np.ndarray, exact: bool) -> tuple[float, bool]:
+    """max |a - b| / max|b| over one column (inf where a non-finite value
+    changed), and whether the column passes."""
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    finite = np.isfinite(a) & np.isfinite(b)
+    scale = np.abs(b[np.isfinite(b)]).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf, masked out below
+        diff = np.where(same, 0.0, np.where(finite, np.abs(a - b), math.inf))
+    worst = diff.max(initial=0.0)
+    rel = worst / scale if scale > 0 else (0.0 if worst == 0 else math.inf)
+    if exact:
+        return rel, bool(same.all())
+    return rel, bool(np.all(diff <= RTOL * np.abs(np.where(finite, b, 0.0)) + ATOL * scale))
+
+
+def compare_tables(name: str, path_a: Path, path_b: Path) -> tuple[list[str], bool]:
+    """The report lines for one CSV present on both sides, and whether it passes."""
+    try:
+        a, b = io_cli.read_result_csv(path_a), io_cli.read_result_csv(path_b)
+    except MalformedTableError as exc:
+        return [f"{name}: unreadable: {exc}"], False
+    lines = [f"{name}:{c}: removed" for c in a.columns if c not in b.columns]
+    lines += [f"{name}:{c}: added" for c in b.columns if c not in a.columns]
+    ok = not lines
+    if len(a.rows) != len(b.rows):
+        return lines + [f"{name}: rows {len(a.rows)} -> {len(b.rows)}"], False
+    for j, column in enumerate(b.columns):
+        if column not in a.columns:
+            continue
+        exact = column in EXACT_COLUMNS
+        rel, passes = column_change(a.rows[:, a.columns.index(column)], b.rows[:, j], exact)
+        verdict = "ok" if passes else ("EXACT MISMATCH" if exact else "BREAKS TOLERANCE")
+        lines.append(f"{name}:{column}: max rel {rel:.3g} {verdict}")
+        ok = ok and passes
+    return lines, ok
+
+
+def compare(out_a: Path, out_b: Path) -> tuple[list[str], bool]:
+    """The report of how OUT_B differs from OUT_A, and whether it passes."""
+    files = [{p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+             for out in (out_a, out_b)]
+    lines = [f"{name}: removed" for name in sorted(files[0] - files[1])]
+    lines += [f"{name}: added" for name in sorted(files[1] - files[0])]
+    ok = not lines
+    for name in sorted(files[0] & files[1]):
+        if name.endswith(".csv"):
+            got, passes = compare_tables(name, out_a / name, out_b / name)
+            lines += got
+            ok = ok and passes
+            continue
+        same = (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        lines.append(f"{name}: {'equal' if same else 'changed'}")
+        ok = ok and (same or not name.endswith(".exit"))
+    return lines, ok
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        lines, ok = compare(Path(argv[1]), Path(argv[2]))
+        print("\n".join(lines))
+        print("pass" if ok else "FAIL")
+        return 0 if ok else 1
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2

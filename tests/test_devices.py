@@ -1,6 +1,7 @@
 """Device admittance models against independent state-space references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,3 +360,33 @@ def test_blackbox_csv_error_reporting(tmp_path):
         read_blackbox_table(p)
     with pytest.raises(MalformedTableError):
         read_blackbox_table(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("freqs", [[10.0, 5.0, 20.0], [10.0], [0.0, 10.0, 20.0]],
+                         ids=["not_increasing", "one_point", "zero_hz"])
+def test_writing_refuses_a_table_reading_would_refuse(tmp_path, freqs):
+    # an RL branch is evaluable at s = 0, so BlackBoxModel refuses 0 Hz itself
+    path = tmp_path / "t.csv"
+    with pytest.raises(MalformedTableError):
+        write_blackbox_table(path, RlBranch(0.05, 0.6, WB), freqs)
+    assert not path.exists()
+
+
+def test_writing_a_converter_at_0_hz_raises_its_own_guard_and_writes_nothing(tmp_path, gfl_model):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="not evaluable at s = 0"):
+        write_blackbox_table(path, gfl_model, [0.0, 10.0, 20.0])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["10,0,0,0,0,0,0,0,0", "5,0,0,0,0,0,0,0,0"], "table frequencies must be"),
+    (["5,0,0,0,0,0,0,0,0", "10,0,0,0,nan,0,0,0,0"], "table contains non-finite"),
+    (["5,0,0,0,0,0,0,0,0", "inf,0,0,0,0,0,0,0,0"], "table frequencies must be"),
+    ([], "table needs at least 2 rows"),
+], ids=["not_increasing", "non_finite_entry", "infinite_frequency", "no_rows"])
+def test_every_table_error_names_the_file(tmp_path, rows, message):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([",".join(BLACKBOX_HEADER), *rows]) + "\n")
+    with pytest.raises(MalformedTableError, match="^" + re.escape(f"{path}: {message}")):
+        read_blackbox_table(path)

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from fdpassivity.errors import NonFiniteError, NotHermitianError, SingularMatrixError
+from fdpassivity.errors import (
+    NoConvergenceError,
+    NonFiniteError,
+    NotHermitianError,
+    SingularMatrixError,
+)
 from fdpassivity.numerics import (
     DEGENERACY_RTOL,
     adjugate,
     determinant,
+    eigenvalues,
     general_eigen,
     hermitian_eigen,
     hermitian_eigenvalues,
@@ -237,3 +243,44 @@ def test_inverse_rejects_singular():
     a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(SingularMatrixError):
         inverse(a)
+
+
+# --- the one input check and the one LAPACK-failure rule --------------------
+
+@pytest.mark.parametrize("kernel, routine", [
+    (hermitian_eigen, "eigh"),
+    (hermitian_eigenvalues, "eigvalsh"),
+    (general_eigen, "eig"),
+    (general_eigen, "cond"),
+    (eigenvalues, "eigvals"),
+    (adjugate, "svd"),
+])
+def test_a_lapack_failure_is_no_convergence_naming_the_kernel(monkeypatch, kernel, routine):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NoConvergenceError) as info:
+        kernel(random_hermitian(np.random.default_rng(31), 3))
+    assert str(info.value) == f"{kernel.__name__} failed to converge: did not converge"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("kernel", [hermitian_eigen, hermitian_eigenvalues, general_eigen,
+                                    eigenvalues, determinant, inverse])
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)],
+                         ids=["nan_real_part", "inf_imaginary_part"])
+def test_one_non_finite_matrix_of_a_stack_is_refused(kernel, value):
+    stack = np.stack([random_hermitian(np.random.default_rng(37), 4) for _ in range(5)])
+    stack[3, 1, 2] = value
+    with pytest.raises(NonFiniteError, match=f"^{kernel.__name__}: matrix contains non-finite"):
+        kernel(stack)
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)],
+                         ids=["nan_real_part", "inf_imaginary_part"])
+def test_adjugate_refuses_a_non_finite_matrix(value):
+    a = random_hermitian(np.random.default_rng(41), 4)
+    a[2, 0] = value
+    with pytest.raises(NonFiniteError, match="^adjugate: matrix contains non-finite"):
+        adjugate(a)
