@@ -162,6 +162,16 @@ def _num(doc, key, ctx, violations, positive=False):
     return v
 
 
+def _hz(doc, key, ctx, violations):
+    """A frequency in Hz, as every one the loader reads: a positive number
+    f with 2*pi*f finite."""
+    f = _num(doc, key, ctx, violations, positive=True)
+    if f is not None and not math.isfinite(2.0 * math.pi * f):
+        violations.append(f"{ctx}.{key}: expected a number with 2*pi*{key} finite")
+        return None
+    return f
+
+
 def _str(doc, key, ctx, violations):
     if key not in doc:
         violations.append(f"{ctx}: missing required field {key!r}")
@@ -268,9 +278,12 @@ def _build_grid(doc, violations) -> np.ndarray | None:
         if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
             violations.append("grid.freqs_hz: must be positive and strictly increasing")
             return None
+        if not math.isfinite(2.0 * math.pi * float(arr[-1])):  # the largest
+            violations.append("grid.freqs_hz: expected numbers with 2*pi*f finite")
+            return None
         return 2.0 * math.pi * arr
-    f_min = _num(grid, "f_min_hz", "grid", violations, positive=True)
-    f_max = _num(grid, "f_max_hz", "grid", violations, positive=True)
+    f_min = _hz(grid, "f_min_hz", "grid", violations)
+    f_max = _hz(grid, "f_max_hz", "grid", violations)
     if f_min is None or f_max is None:
         return None
     if not f_min < f_max:
@@ -346,7 +359,7 @@ def load_scenario(path) -> Scenario:
         _reject_unknown(base, _BASE_KEYS, "base", "field", violations)
         _num(base, "s_va", "base", violations, positive=True)
         _num(base, "v_v", "base", violations, positive=True)
-        f_hz = _num(base, "f_hz", "base", violations, positive=True)
+        f_hz = _hz(base, "f_hz", "base", violations)
     omega_b = 2.0 * math.pi * f_hz if f_hz else 2.0 * math.pi * 60.0
 
     omegas = _build_grid(doc, violations)
@@ -470,6 +483,12 @@ def _number(expected, ok=lambda value, done: True, *more):
         rules = [(expected, lambda v, d: finite and ok(v, d)), *more]
         return next((text for text, holds in rules if not holds(value, done)), None)
     return check
+
+
+def _hz_option(name):
+    """Option for a frequency in Hz, with the loader's rule (_hz)."""
+    return _number("a positive number", lambda v, done: v > 0,
+                   (f"a number with 2*pi*{name} finite", lambda v, done: math.isfinite(2 * math.pi * v)))
 
 
 def _shifted(model, param, delta_pct):
@@ -624,18 +643,14 @@ _ANALYSIS_TABLE = {
     ), _run_nodal_sens),
     "participation": _Analysis((), _run_participation),
     "gnc": _Analysis((), _run_gnc, _gnc_summary),
-    "fdpf": _Analysis((_Option("f_hz", _number("a positive number", lambda v, done: v > 0)),),
-                      _run_fdpf),
+    "fdpf": _Analysis((_Option("f_hz", _hz_option("f_hz")),), _run_fdpf),
     "modes": _Analysis((
         _Option("re_min", _number("a number"), -500.0),
         _Option("re_max", _number(
             "a number above re_min", lambda v, done: "re_min" not in done or v > done["re_min"],
             ("a number with re_max - re_min finite",
              lambda v, done: "re_min" not in done or math.isfinite(v - done["re_min"]))), 200.0),
-        _Option("f_max_hz", _number(
-            "a positive number", lambda v, done: v > 0,
-            ("a number with 2*pi*f_max_hz finite", lambda v, done: math.isfinite(2 * math.pi * v))),
-            500.0),
+        _Option("f_max_hz", _hz_option("f_max_hz"), 500.0),
     ), _run_modes, _modes_summary),
 }
 

@@ -50,6 +50,7 @@ from .numerics import hermitian_eigen, hermitian_eigenvalues, inverse  # noqa: F
 from .passivity import (
     IndexSweep,
     SensitivitySeries,
+    Spectrum,
     eigenvalue_blocks,
     frequency_blocks,
     frequency_chunks,
@@ -295,20 +296,6 @@ def assemble_nodal(network: Network, s, *, values=None) -> np.ndarray:
     return _assemble(network, s, network._parts, values)
 
 
-@dataclass(frozen=True)
-class NodalSpectrum(IndexSweep):
-    """Nodal passivity over a frequency grid with the minimum eigenpair.
-
-    Row k belongs to omegas[k].  Where degenerate[k] is set the minimum
-    eigenvalue is not simple, so min_vectors[k] and every sensitivity or
-    participation drawn from it are not defined there.
-    """
-
-    spectra: np.ndarray      # (M, 2N) eigenvalues of H_n, ascending; spectra[:, 0] == indices
-    min_vectors: np.ndarray  # (M, 2N) unit eigenvectors of the minimum eigenvalue
-    degenerate: np.ndarray   # (M,) bool
-
-
 def _sweep_blocks(network: Network, omegas: np.ndarray, solve, blocks) -> tuple[np.ndarray, ...]:
     """solve(H) on every block of H_n = Y_n + Y_n^dagger over omegas, its
     per-block tuples of arrays joined field by field.
@@ -330,7 +317,7 @@ def _sweep_blocks(network: Network, omegas: np.ndarray, solve, blocks) -> tuple[
     return join_blocks([row for c in chunks for row in c])
 
 
-def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
+def nodal_passivity_sweep(network: Network, omegas) -> Spectrum:
     """Nodal passivity index and minimum eigenpair over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float)
 
@@ -339,15 +326,7 @@ def nodal_passivity_sweep(network: Network, omegas) -> NodalSpectrum:
         # copy the one column so the full eigenvector matrices can be freed
         return eig.values, eig.min_vector.copy(), eig.degenerate
 
-    spectra, min_vectors, degenerate = _sweep_blocks(network, omegas, solve, frequency_blocks)
-    return NodalSpectrum(
-        omegas=omegas,
-        indices=spectra[:, 0],
-        eigen_gaps=spectra[:, 1] - spectra[:, 0],
-        spectra=spectra,
-        min_vectors=min_vectors,
-        degenerate=degenerate,
-    )
+    return Spectrum.of(omegas, *_sweep_blocks(network, omegas, solve, frequency_blocks))
 
 
 def nodal_index_sweep(network: Network, omegas) -> IndexSweep:
@@ -355,13 +334,8 @@ def nodal_index_sweep(network: Network, omegas) -> IndexSweep:
     eigenvalues alone: nodal_passivity_sweep's to within 1e-14 of each
     point's max|lambda|."""
     omegas = np.asarray(omegas, dtype=float)
-
-    def solve(h):
-        values = hermitian_eigenvalues(h)
-        return values[:, 0], values[:, 1] - values[:, 0]
-
-    indices, gaps = _sweep_blocks(network, omegas, solve, eigenvalue_blocks)
-    return IndexSweep(omegas=omegas, indices=indices, eigen_gaps=gaps)
+    return IndexSweep.of(omegas, *_sweep_blocks(
+        network, omegas, lambda h: (hermitian_eigenvalues(h),), eigenvalue_blocks))
 
 
 def directional_nodal_sensitivity(phi: np.ndarray, ref: ComponentRef, dy: np.ndarray):
@@ -387,18 +361,9 @@ def nodal_param_sensitivity(network: Network, name: str, param_name: str, omegas
     of aborting the sweep; the derivative is evaluated only off them.
     """
     ref = component(network, name)
-    spec = nodal_passivity_sweep(network, omegas)
-    ok = ~spec.degenerate
-    derivatives = np.full(ok.shape, math.nan)
-    dy = param_derivative(ref.model, param_name, 1j * spec.omegas[ok])
-    derivatives[ok] = directional_nodal_sensitivity(spec.min_vectors[ok], ref, dy)
-    return SensitivitySeries(
-        param_name=param_name,
-        omegas=spec.omegas,
-        indices=spec.indices,
-        derivatives=derivatives,
-        degenerate=spec.degenerate,
-    )
+    return nodal_passivity_sweep(network, omegas).sensitivity(
+        param_name, lambda w, phi: directional_nodal_sensitivity(
+            phi, ref, param_derivative(ref.model, param_name, 1j * w)))
 
 
 class ParticipationTable(NamedTuple):
@@ -425,18 +390,20 @@ def participation_sweep(network: Network, omegas) -> ParticipationTable:
 
     A component's participation is the directional sensitivity along its
     own admittance, i.e. the response to scaling it by (1 + eps): one
-    whole-grid admittance call per component.
+    admittance call per component over the simple points, NaN at the
+    degenerate ones.
     """
     refs = components(network)
     spec = nodal_passivity_sweep(network, omegas)
-    s = 1j * spec.omegas
-    shares = np.array([directional_nodal_sensitivity(spec.min_vectors, r, r.model.admittance(s))
-                       for r in refs]).reshape(len(refs), s.size)
-    shares[:, spec.degenerate] = math.nan
+
+    def shares(w, phi):
+        return np.array([directional_nodal_sensitivity(phi, r, r.model.admittance(1j * w))
+                         for r in refs]).reshape(len(refs), w.size)
+
     return ParticipationTable(
         names=tuple(r.name for r in refs),
         omegas=spec.omegas,
         indices=spec.indices,
-        values=shares,
+        values=spec.at_simple_points(shares),
         degenerate=spec.degenerate,
     )

@@ -233,20 +233,16 @@ def adjugate(a) -> np.ndarray:
     return np.linalg.det(u) * np.linalg.det(vh) * (vh.conj().T * p) @ u.conj().T
 
 
-def _cond_or_inf(a: np.ndarray) -> float:
-    """Largest condition number of a matrix or a stack (inf if any is)."""
-    try:
-        c = np.linalg.cond(a)
-    except np.linalg.LinAlgError:
-        return np.inf
-    return float(np.max(c, initial=0.0)) if np.all(np.isfinite(c)) else np.inf
-
-
 def inverse(a) -> np.ndarray:
     """Inverse of a matrix or of each matrix of a stack (..., n, n); raises
-    SingularMatrixError when the cond of any of them exceeds COND_LIMIT."""
+    SingularMatrixError when the cond of any of them exceeds COND_LIMIT, is
+    not finite, or cannot be computed."""
     a = _checked(a, "inverse")
-    if _cond_or_inf(a) > COND_LIMIT:
+    try:
+        cond = np.linalg.cond(a)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not np.all(cond <= COND_LIMIT):
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond > {COND_LIMIT:.0e})"
         )

@@ -121,7 +121,14 @@ class IndexSweep:
 
     omegas: np.ndarray      # rad/s
     indices: np.ndarray     # min eigenvalue of H at each frequency
-    eigen_gaps: np.ndarray  # spread between the two eigenvalues of H
+    eigen_gaps: np.ndarray  # spread between the two smallest eigenvalues of H
+
+    @classmethod
+    def of(cls, omegas, spectra, *eigenpair):
+        """The sweep of the ascending eigenvalues spectra (M, n) of H at
+        omegas; a Spectrum also takes its min_vectors and degenerate."""
+        return cls(omegas, spectra[:, 0], spectra[:, 1] - spectra[:, 0],
+                   *((spectra, *eigenpair) if eigenpair else ()))
 
     @property
     def freqs_hz(self) -> np.ndarray:
@@ -153,39 +160,49 @@ class SensitivitySeries(NamedTuple):
         return self.omegas / (2.0 * math.pi)
 
 
-def index_sweep(model: DeviceModel, omegas) -> IndexSweep:
-    """Evaluate the passivity index across a frequency grid."""
+@dataclass(frozen=True)
+class Spectrum(IndexSweep):
+    """Passivity over a frequency grid with the minimum eigenpair, of one
+    device (index_sweep) or of a network (network.nodal_passivity_sweep).
+
+    Row k belongs to omegas[k].  Where degenerate[k] is set the minimum
+    eigenvalue is not simple, so min_vectors[k] and every sensitivity or
+    participation drawn from it are not defined there.
+    """
+
+    spectra: np.ndarray      # (M, n) eigenvalues of H, ascending; spectra[:, 0] == indices
+    min_vectors: np.ndarray  # (M, n) unit eigenvectors of the minimum eigenvalue
+    degenerate: np.ndarray   # (M,) bool
+
+    def at_simple_points(self, value) -> np.ndarray:
+        """value(omegas, min_vectors) at the K simple points, (..., K),
+        spread over the grid as (..., M), NaN at the degenerate points."""
+        simple = ~self.degenerate
+        got = np.asarray(value(self.omegas[simple], self.min_vectors[simple]))
+        out = np.full(got.shape[:-1] + simple.shape, math.nan)
+        out[..., simple] = got
+        return out
+
+    def sensitivity(self, param_name: str, value) -> SensitivitySeries:
+        """The index and the derivative value gives, at_simple_points."""
+        return SensitivitySeries(param_name, self.omegas, self.indices,
+                                 self.at_simple_points(value), self.degenerate)
+
+
+def index_sweep(model: DeviceModel, omegas) -> Spectrum:
+    """Passivity index and minimum eigenpair across a frequency grid: the
+    nodal_passivity_sweep of a one-bus network with model as its device."""
     omegas = np.asarray(omegas, dtype=float)
 
     def block(rows: slice):
         eig = hermitian_eigen(hermitian_part(model.admittance(1j * omegas[rows])))
-        return eig.min_value, eig.eigen_gap
+        return eig.values, eig.min_vector, eig.degenerate
 
-    idx, gap = join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2)))
-    return IndexSweep(omegas=omegas, indices=idx, eigen_gaps=gap)
+    return Spectrum.of(omegas, *join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2))))
 
 
 def param_passivity_sensitivity(model: DeviceModel, param_name: str, omegas) -> SensitivitySeries:
-    """Index and d(index)/d(rho) across a frequency grid.
-
-    Degenerate points are flagged per point (derivative NaN) instead of
-    aborting the sweep; the derivative is evaluated only off them.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-
-    def block(rows: slice):
-        s = 1j * omegas[rows]
-        eig = hermitian_eigen(hermitian_part(model.admittance(s)))
-        ok = ~eig.degenerate
-        d = np.full(ok.shape, math.nan)
-        d[ok] = quadratic_form(eig.min_vector[ok], param_derivative(model, param_name, s[ok]))
-        return eig.min_value, d, ~ok
-
-    idx, d, degenerate = join_blocks(parallel_map(block, frequency_blocks(omegas.size, 2)))
-    return SensitivitySeries(
-        param_name=param_name,
-        omegas=omegas,
-        indices=idx,
-        derivatives=d,
-        degenerate=degenerate,
-    )
+    """Index and d(index)/d(rho) across a frequency grid: index_sweep and
+    one derivative of the admittance at its simple points, NaN elsewhere."""
+    return index_sweep(model, omegas).sensitivity(
+        param_name, lambda w, phi: quadratic_form(phi, param_derivative(model, param_name, 1j * w)))

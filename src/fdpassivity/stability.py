@@ -60,6 +60,7 @@ from .errors import (
     DefectiveMatrixError,
     NoConvergenceError,
     NonFiniteError,
+    OutOfRangeError,
     OutOfRegionError,
     RefineGridError,
     SingularMatrixError,
@@ -177,10 +178,25 @@ def _loop_gain_eigenvalues(network: Network, omegas: np.ndarray) -> np.ndarray:
         eigenvalue_blocks(omegas.size, 2 * network.n_buses)))
 
 
-def _winding_verdict(omegas: np.ndarray, loci: np.ndarray) -> GncVerdict:
+def _finite_at_zero(network: Network) -> bool:
+    """Whether L(0) is finite: each catalog device admittance has a finite
+    limit at s = 0, so it is when Y_net(0) is evaluable and invertible."""
+    with suppress(*NOT_EVALUABLE, OutOfRangeError):
+        inverse(assemble_net(network, 0.0))
+        return True
+    return False
+
+
+def _winding_verdict(omegas: np.ndarray, loci: np.ndarray, *,
+                     finite_at_zero: bool = True) -> GncVerdict:
     """The verdict tracked loci give on omegas, or RefineGridError naming
     the intervals k (omegas[k] to omegas[k + 1]) that the displacement and
-    angle guards flag; a refusal for another reason names none."""
+    angle guards flag; a refusal for another reason names none.
+
+    When L(0) is finite, each junction passes through the real L(0) or
+    L(inf), so an end angle beyond +-pi/2 is reduced by pi.  Otherwise the
+    unreduced angles close it; a pole at s = 0 is ROADMAP item 5's.
+    """
     rel = loci - CRITICAL
     dist = np.abs(rel)
     min_dist = float(dist.min())
@@ -205,8 +221,11 @@ def _winding_verdict(omegas: np.ndarray, loci: np.ndarray) -> GncVerdict:
     # Conjugate closure: the negative-frequency mirror repeats the swept
     # total, and the junction segments contribute the angle between each
     # endpoint and its conjugate; both halves fold into a division by pi.
+    ends = [np.angle(rel[:, 0]), np.angle(rel[:, -1])]
+    if finite_at_zero:
+        ends = [np.where(np.abs(a) > math.pi / 2, a - np.copysign(math.pi, a), a) for a in ends]
     swept = float(angles.sum())
-    junction = float(np.angle(rel[:, 0]).sum() - np.angle(rel[:, -1]).sum())
+    junction = float(ends[0].sum() - ends[1].sum())
     winding_float = (swept + junction) / math.pi
     encirclements = round(winding_float)
     if abs(winding_float - encirclements) > 0.25:
@@ -241,7 +260,9 @@ def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerd
     elif np.shape(values) != (omegas.size, 2 * network.n_buses):
         raise ValueError("values must hold the 2N loop-gain eigenvalues at each frequency")
     loci = _track_loci(values)
-    return LoopGainLoci(omegas=omegas, loci=loci), _winding_verdict(omegas, loci)
+    verdict = (_winding_verdict(omegas, loci) if _finite_at_zero(network)
+               else _winding_verdict(omegas, loci, finite_at_zero=False))
+    return LoopGainLoci(omegas=omegas, loci=loci), verdict
 
 
 def gnc_auto(

@@ -11,16 +11,21 @@ the 10-bus benchmark ladder's modes, gnc and modes of the benchmark's
 single-GFL case at SCR 1.3 and k_p_pll 0.66, the unstable passivation
 case at SCR 1.3 and k_p_pll 1.0 (device-passivity, device-sens on k_p_i,
 gnc and modes), modes of three_bus with re_min -500 and re_max 100 (seeds
-on the GFL voltage filter pole s = -500 and on s = 0), and five analyses
-of single_gfl with GFL-1 declared as a black-box table, each run as
+on the GFL voltage filter pole s = -500 and on s = 0), five analyses
+of single_gfl with GFL-1 declared as a black-box table, and one case per
+derivative path of each model kind the fixtures' own sensitivity
+analyses leave out (SENS_CASES): nodal-sens on three_bus's branch
+b1-b2#1 (rl, x) and shunt sh@b2 (shunt_c, b) and on single_gfl's grid
+sh@poc (thevenin, scr), and device-sens on three_bus's GFL-1 (k_i_pll)
+and GFM-2 (l_v), each run as
 ``python -m fdpassivity.io_cli ANALYSIS --svg``.  OUT_DIR/CASE/ receives
 each run's CSV and SVG files and ANALYSIS.stdout, ANALYSIS.stderr and
 ANALYSIS.exit; the scenario files go to OUT_DIR/scenarios/.  Every path a
 run prints is relative to OUT_DIR, so the outputs of two checkouts are
 equal exactly when ``diff -r OUT_A OUT_B`` prints nothing.
 
-The passivation scenario and the black-box one are written by this
-script from single_gfl.json, and the pole-seed one from three_bus.json.
+The passivation scenario, the black-box one and the sensitivity ones
+are written by this script from the fixtures.
 The black-box table is written by it too, from GflConverterL1's
 admittance on the scenario grid at 17 significant digits, so every
 checkout reads the same file; modes exits 3 on it, since a black box is
@@ -65,6 +70,18 @@ BLACKBOX_ANALYSES = ("device-passivity", "nodal-passivity", "participation", "gn
 EXACT_COLUMNS = ("stable", "unstable", "encirclements", "n_modes", "n_tied", "degenerate",
                  "standalone_stable_asserted")
 RTOL, ATOL = 1e-6, 1e-8  # |a - b| <= RTOL |b| + ATOL max|b| over the column
+# (case, fixture, analysis, options): one sensitivity run each
+SENS_CASES = (
+    ("three_bus_sens_branch_x", "three_bus.json", "nodal-sens",
+     {"component": "b1-b2#1", "param": "x"}),
+    ("three_bus_sens_shunt_b", "three_bus.json", "nodal-sens", {"component": "sh@b2", "param": "b"}),
+    ("single_gfl_sens_grid_scr", "single_gfl.json", "nodal-sens",
+     {"component": "sh@poc", "param": "scr"}),
+    ("three_bus_sens_gfl_k_i_pll", "three_bus.json", "device-sens",
+     {"device": "GFL-1", "param": "k_i_pll", "delta_pct": 5.0}),
+    ("three_bus_sens_gfm2_l_v", "three_bus.json", "device-sens",
+     {"device": "GFM-2", "param": "l_v", "delta_pct": 5.0}),
+)
 PASSIVATION_ANALYSES = {"device-passivity": {"device": "GFL-1"},
                         "device-sens": {"device": "GFL-1", "param": "k_p_i", "delta_pct": 5.0},
                         "gnc": {}, "modes": {}}
@@ -98,6 +115,10 @@ def cases(scenarios: Path) -> list[tuple[str, Path, list[str]]]:
     runs.append(passivation_case(scenarios))
     runs.append(pole_seeds_case(scenarios))
     runs.append(blackbox_case(scenarios))
+    for case, fixture, analysis, options in SENS_CASES:
+        doc = fixture_doc(fixture)
+        doc["name"], doc["analyses"] = case, {analysis: options}
+        runs.append(write_doc(scenarios, doc, doc["analyses"]))
     return runs
 
 
