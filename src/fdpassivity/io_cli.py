@@ -488,7 +488,8 @@ def _number(expected, ok=lambda value, done: True, *more):
 def _hz_option(name):
     """Option for a frequency in Hz, with the loader's rule (_hz)."""
     return _number("a positive number", lambda v, done: v > 0,
-                   (f"a number with 2*pi*{name} finite", lambda v, done: math.isfinite(2 * math.pi * v)))
+                   (f"a number with 2*pi*{name} finite",
+                    lambda v, done: math.isfinite(2 * math.pi * v)))
 
 
 def _shifted(model, param, delta_pct):

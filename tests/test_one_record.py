@@ -36,7 +36,8 @@ from fdpassivity.passivity import (
 from conftest import WB, make_single_gfl, make_three_bus
 
 GRID = log_omega_grid(0.01, 1e4, 2000)
-COMPONENTS = [(make, ref) for make in (make_single_gfl, make_three_bus) for ref in components(make())]
+COMPONENTS = [(make, ref) for make in (make_single_gfl, make_three_bus)
+              for ref in components(make())]
 
 
 def _same(a, b):
