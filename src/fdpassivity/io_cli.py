@@ -163,11 +163,11 @@ def _num(doc, key, ctx, violations, positive=False):
 
 
 def _hz(doc, key, ctx, violations):
-    """A frequency in Hz, as every one the loader reads: a positive number
-    f with 2*pi*f finite."""
+    """A frequency in Hz: a positive number that _hz_check accepts."""
     f = _num(doc, key, ctx, violations, positive=True)
-    if f is not None and not math.isfinite(2.0 * math.pi * f):
-        violations.append(f"{ctx}.{key}: expected a number with 2*pi*{key} finite")
+    expected = None if f is None else _hz_check(key)(f, {}, None)
+    if expected is not None:
+        violations.append(f"{ctx}.{key}: expected {expected}")
         return None
     return f
 
@@ -278,8 +278,9 @@ def _build_grid(doc, violations) -> np.ndarray | None:
         if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
             violations.append("grid.freqs_hz: must be positive and strictly increasing")
             return None
-        if not math.isfinite(2.0 * math.pi * float(arr[-1])):  # the largest
-            violations.append("grid.freqs_hz: expected numbers with 2*pi*f finite")
+        expected = _hz_check("f")(float(arr[-1]), {}, None)  # the largest
+        if expected is not None:
+            violations.append(f"grid.freqs_hz: expected {expected} for each f")
             return None
         return 2.0 * math.pi * arr
     f_min = _hz(grid, "f_min_hz", "grid", violations)
@@ -485,8 +486,9 @@ def _number(expected, ok=lambda value, done: True, *more):
     return check
 
 
-def _hz_option(name):
-    """Option for a frequency in Hz, with the loader's rule (_hz)."""
+def _hz_check(name):
+    """The rule for every frequency in Hz the loader reads, an option or a
+    scenario field: a positive number f with 2*pi*f finite."""
     return _number("a positive number", lambda v, done: v > 0,
                    (f"a number with 2*pi*{name} finite",
                     lambda v, done: math.isfinite(2 * math.pi * v)))
@@ -644,14 +646,14 @@ _ANALYSIS_TABLE = {
     ), _run_nodal_sens),
     "participation": _Analysis((), _run_participation),
     "gnc": _Analysis((), _run_gnc, _gnc_summary),
-    "fdpf": _Analysis((_Option("f_hz", _hz_option("f_hz")),), _run_fdpf),
+    "fdpf": _Analysis((_Option("f_hz", _hz_check("f_hz")),), _run_fdpf),
     "modes": _Analysis((
         _Option("re_min", _number("a number"), -500.0),
         _Option("re_max", _number(
             "a number above re_min", lambda v, done: "re_min" not in done or v > done["re_min"],
             ("a number with re_max - re_min finite",
              lambda v, done: "re_min" not in done or math.isfinite(v - done["re_min"]))), 200.0),
-        _Option("f_max_hz", _hz_option("f_max_hz"), 500.0),
+        _Option("f_max_hz", _hz_check("f_max_hz"), 500.0),
     ), _run_modes, _modes_summary),
 }
 

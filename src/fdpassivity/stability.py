@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
+from .devices import BlackBoxModel
 from .errors import (
     DefectiveMatrixError,
     NoConvergenceError,
@@ -179,11 +180,12 @@ def _loop_gain_eigenvalues(network: Network, omegas: np.ndarray) -> np.ndarray:
 
 
 def _finite_at_zero(network: Network) -> bool:
-    """Whether L(0) is finite: each catalog device admittance has a finite
-    limit at s = 0, so it is when Y_net(0) is evaluable and invertible."""
+    """Whether L(0) is finite: each catalog model's admittance has a finite
+    limit at s = 0 (most are not evaluable there), so it is when no device
+    is a black box, which has none, and Y_net(0) is invertible."""
     with suppress(*NOT_EVALUABLE, OutOfRangeError):
         inverse(assemble_net(network, 0.0))
-        return True
+        return not any(isinstance(dev.model, BlackBoxModel) for dev in network.devices)
     return False
 
 
@@ -260,9 +262,8 @@ def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerd
     elif np.shape(values) != (omegas.size, 2 * network.n_buses):
         raise ValueError("values must hold the 2N loop-gain eigenvalues at each frequency")
     loci = _track_loci(values)
-    verdict = (_winding_verdict(omegas, loci) if _finite_at_zero(network)
-               else _winding_verdict(omegas, loci, finite_at_zero=False))
-    return LoopGainLoci(omegas=omegas, loci=loci), verdict
+    closure = {} if _finite_at_zero(network) else {"finite_at_zero": False}
+    return LoopGainLoci(omegas=omegas, loci=loci), _winding_verdict(omegas, loci, **closure)
 
 
 def gnc_auto(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fdpassivity import io_cli, stability
-from fdpassivity.devices import RlBranch, ShuntCapacitor, param_derivative
+from fdpassivity.devices import RlBranch, ShuntCapacitor, param_derivative, sample_model
 from fdpassivity.errors import (
     DefectiveMatrixError,
     NonFiniteError,
@@ -89,12 +89,20 @@ def test_l0_is_finite_on_the_catalog_fixtures():
     assert stability._finite_at_zero(make_three_bus())
 
 
+def test_a_black_box_device_keeps_the_unreduced_closure():
+    # a table has no value at s = 0, so L(0) is not known to be finite
+    net = make_single_gfl()
+    bb = sample_model(net.devices[0].model, np.geomspace(1.0, 2000.0, 60))
+    net = Network(buses=net.buses, shunts=net.shunts, devices=(Device("poc", "GFL-1", bb),))
+    assert not stability._finite_at_zero(net)
+
+
 # the loader's one rule for a frequency in Hz: 2*pi*f must be finite
 HZ_CASES = {
     "grid_f_max": (lambda doc: doc["grid"].update(f_max_hz=1e308),
                    "grid.f_max_hz: expected a number with 2*pi*f_max_hz finite"),
     "grid_freqs": (lambda doc: doc.update(grid={"freqs_hz": [1, 10, 1e308]}),
-                   "grid.freqs_hz: expected numbers with 2*pi*f finite"),
+                   "grid.freqs_hz: expected a number with 2*pi*f finite for each f"),
     "fdpf_f_hz": (lambda doc: doc["analyses"]["fdpf"].update(f_hz=1e308),
                   "analyses.fdpf.f_hz: expected a number with 2*pi*f_hz finite"),
     "base_f_hz": (lambda doc: doc["base"].update(f_hz=1e308),
