@@ -84,17 +84,17 @@ def test_a_pole_at_zero_keeps_the_unreduced_closure():
     assert stability._winding_verdict(omegas, loci, finite_at_zero=False).encirclements == 0
 
 
-def test_l0_is_finite_on_the_catalog_fixtures():
-    assert stability._finite_at_zero(make_single_gfl())
-    assert stability._finite_at_zero(make_three_bus())
-
-
-def test_a_black_box_device_keeps_the_unreduced_closure():
-    # a table has no value at s = 0, so L(0) is not known to be finite
+def _single_gfl_as_black_box():
     net = make_single_gfl()
     bb = sample_model(net.devices[0].model, np.geomspace(1.0, 2000.0, 60))
-    net = Network(buses=net.buses, shunts=net.shunts, devices=(Device("poc", "GFL-1", bb),))
-    assert not stability._finite_at_zero(net)
+    return Network(buses=net.buses, shunts=net.shunts, devices=(Device("poc", "GFL-1", bb),))
+
+
+@pytest.mark.parametrize("make, finite", [(make_single_gfl, True), (make_three_bus, True),
+                                          (_single_gfl_as_black_box, False)])
+def test_l0_is_finite_unless_a_device_is_a_black_box(make, finite):
+    # a table has no value at s = 0, so a black box keeps the unreduced closure
+    assert stability._finite_at_zero(make()) is finite
 
 
 # the loader's one rule for a frequency in Hz: 2*pi*f must be finite
