@@ -105,16 +105,14 @@ def _div(a, b):
     """a / b, rounded as Python's complex division rounds it (Smith's
     method, dividing by the larger part of b); numpy instead multiplies
     by a reciprocal and moves the last bit."""
-    if type(a) in _PLAIN and type(b) in _PLAIN:
+    if type(a) in _PLAIN and type(b) in _PLAIN and b:
         return a / b
-    a = np.asarray(a, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    ar, ai = a.real, a.imag
-    b = np.asarray(b, dtype=complex)
-    br, bi = b.real, b.imag
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)
     big = np.where(by_real, br, bi)
-    _refuse(big == 0, ZeroDivisionError, "complex division by zero", out.shape)
+    _refuse(big == 0, NonFiniteError, "complex division by zero", out.shape)
     small = np.where(by_real, bi, br)
     ratio = small / big
     denom = big + small * ratio
@@ -127,14 +125,13 @@ def _div(a, b):
 def _inv2(m: np.ndarray, what: str) -> np.ndarray:
     """Closed-form inverse of a 2x2 matrix or of each of a stack."""
     if m.ndim == 2:  # one matrix, in scalar arithmetic: the per-point hot path
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0:
-            raise SingularMatrixError(f"{what} is singular at the requested frequency")
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
-    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    det = _cmul(m00, m11) - _cmul(m01, m10)
+        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+        det = m00 * m11 - m01 * m10
+    else:
+        m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        det = _cmul(m00, m11) - _cmul(m01, m10)
     _refuse(det == 0, SingularMatrixError, f"{what} is singular at the requested frequency")
-    return _mat2(m11, -m01, -m10, m00) / det[..., None, None]
+    return _mat2(m11, -m01, -m10, m00) / _col(det)
 
 
 def rl_impedance(r: float, x: float, s, omega_b: float) -> np.ndarray:
@@ -356,7 +353,8 @@ class GflConverterL1(ParametricModel):
         object.__setattr__(self, "_frame", (x_c * J, J @ i0, J @ v0, J @ v_m0))
 
     def admittance(self, s) -> np.ndarray:
-        _refuse(s == 0, ValueError, "GFL admittance is not evaluable at s = 0 (pure integrators)")
+        _refuse(s == 0, NonFiniteError,
+                "GFL admittance is not evaluable at s = 0 (pure integrators)")
         params, op = self.params, self.op
         wb = op.omega_b
         d_dec, j_i0, j_v0, j_vm0 = self._frame
@@ -405,7 +403,8 @@ class GfmConverterL1(ParametricModel):
         object.__setattr__(self, "_frame", (v0, i0, J @ e0))
 
     def admittance(self, s) -> np.ndarray:
-        _refuse(s == 0, ValueError, "GFM admittance is not evaluable at s = 0 (angle integrator)")
+        _refuse(s == 0, NonFiniteError,
+                "GFM admittance is not evaluable at s = 0 (angle integrator)")
         params, wb = self.params, self.op.omega_b
         v0, i0, j_e0 = self._frame
         swing = _cmul(s, 2.0 * params.h_vsm * s + params.d_vsm)

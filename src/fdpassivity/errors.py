@@ -25,7 +25,7 @@ class NotHermitianError(NumericalFailure):
 
 
 class NonFiniteError(NumericalFailure):
-    """A matrix or evaluation produced NaN or infinite entries."""
+    """A matrix or evaluation produced NaN or infinite entries, or met a pole at its point."""
 
 
 class NoConvergenceError(NumericalFailure):

@@ -81,9 +81,9 @@ UNSTABLE_RE_RTOL = 1e-6
 MAX_ITERATIONS = 100
 
 # What makes det Y_n not evaluable at a point: device poles make det Y_n
-# meromorphic, so an exact pole hit raises deep in a model, and a near one
-# can overflow an entry of Y_n.  Any other error propagates.
-NOT_EVALUABLE = (ZeroDivisionError, ValueError, SingularMatrixError, NonFiniteError)
+# meromorphic, so a model refuses an exact pole hit through devices._refuse,
+# and a near one can overflow an entry of Y_n.  Any other error propagates.
+NOT_EVALUABLE = (SingularMatrixError, NonFiniteError)
 
 
 def loop_gain(network: Network, s) -> np.ndarray:
@@ -262,8 +262,8 @@ def gnc(network: Network, omegas, *, values=None) -> tuple[LoopGainLoci, GncVerd
     elif np.shape(values) != (omegas.size, 2 * network.n_buses):
         raise ValueError("values must hold the 2N loop-gain eigenvalues at each frequency")
     loci = _track_loci(values)
-    closure = {} if _finite_at_zero(network) else {"finite_at_zero": False}
-    return LoopGainLoci(omegas=omegas, loci=loci), _winding_verdict(omegas, loci, **closure)
+    verdict = _winding_verdict(omegas, loci, finite_at_zero=_finite_at_zero(network))
+    return LoopGainLoci(omegas=omegas, loci=loci), verdict
 
 
 def gnc_auto(

@@ -12,20 +12,22 @@ single-GFL case at SCR 1.3 and k_p_pll 0.66, the unstable passivation
 case at SCR 1.3 and k_p_pll 1.0 (device-passivity, device-sens on k_p_i,
 gnc and modes), modes of three_bus with re_min -500 and re_max 100 (seeds
 on the GFL voltage filter pole s = -500 and on s = 0), five analyses
-of single_gfl with GFL-1 declared as a black-box table, and one case per
-derivative path of each model kind the fixtures' own sensitivity
-analyses leave out (SENS_CASES): nodal-sens on three_bus's branch
-b1-b2#1 (rl, x) and shunt sh@b2 (shunt_c, b) and on single_gfl's grid
-sh@poc (thevenin, scr), and device-sens on three_bus's GFL-1 (k_i_pll)
-and GFM-2 (l_v), each run as
+of single_gfl with GFL-1 declared as a black-box table, all eight
+analyses of single_gfl with k_p_pll 0 on a grid and an fdpf frequency
+that hit the PLL's undamped pole on the j omega axis (six exit 3 on it,
+modes exits 0 and gnc 3), and one case per derivative path of each
+model kind the fixtures' own sensitivity analyses leave out (SENS_CASES):
+nodal-sens on three_bus's branch b1-b2#1 (rl, x) and shunt sh@b2
+(shunt_c, b) and on single_gfl's grid sh@poc (thevenin, scr), and
+device-sens on three_bus's GFL-1 (k_i_pll) and GFM-2 (l_v), each run as
 ``python -m fdpassivity.io_cli ANALYSIS --svg``.  OUT_DIR/CASE/ receives
 each run's CSV and SVG files and ANALYSIS.stdout, ANALYSIS.stderr and
 ANALYSIS.exit; the scenario files go to OUT_DIR/scenarios/.  Every path a
 run prints is relative to OUT_DIR, so the outputs of two checkouts are
 equal exactly when ``diff -r OUT_A OUT_B`` prints nothing.
 
-The passivation scenario, the black-box one and the sensitivity ones
-are written by this script from the fixtures.
+The passivation scenario, the black-box one, the axis-pole one and the
+sensitivity ones are written by this script from the fixtures.
 The black-box table is written by it too, from GflConverterL1's
 admittance on the scenario grid at 17 significant digits, so every
 checkout reads the same file; modes exits 3 on it, since a black box is
@@ -115,6 +117,7 @@ def cases(scenarios: Path) -> list[tuple[str, Path, list[str]]]:
     runs.append(passivation_case(scenarios))
     runs.append(pole_seeds_case(scenarios))
     runs.append(blackbox_case(scenarios))
+    runs.append(axis_pole_case(scenarios))
     for case, fixture, analysis, options in SENS_CASES:
         doc = fixture_doc(fixture)
         doc["name"], doc["analyses"] = case, {analysis: options}
@@ -151,6 +154,19 @@ def pole_seeds_case(scenarios: Path) -> tuple[str, Path, list[str]]:
     doc = fixture_doc("three_bus.json")
     doc["name"] = "three_bus_pole_seeds"
     doc["analyses"] = {"modes": {"re_min": -500, "re_max": 100}}
+    return write_doc(scenarios, doc, doc["analyses"])
+
+
+def axis_pole_case(scenarios: Path) -> tuple[str, Path, list[str]]:
+    """single_gfl at k_p_pll 0, whose PLL pole sits on the j omega axis at
+    f0 = sqrt(v_d0 omega_b k_i_pll) / (2 pi) Hz, with f0 on the grid and as
+    the fdpf frequency: every analysis that evaluates it refuses."""
+    f0 = math.sqrt(1.0 * 2 * math.pi * 60 * 30.28) / (2 * math.pi)
+    doc = fixture_doc()
+    doc["name"] = "single_gfl_axis_pole"
+    doc["devices"][0]["params"]["k_p_pll"] = 0
+    doc["grid"] = {"freqs_hz": [1.0, f0, 100.0]}
+    doc["analyses"]["fdpf"]["f_hz"] = f0
     return write_doc(scenarios, doc, doc["analyses"])
 
 

@@ -194,7 +194,7 @@ def test_guards_raise_for_any_element_of_a_stack(gfl_model):
     s = 1j * 2 * math.pi * np.array([5.0, 50.0, 500.0])
     for model in (gfl_model, GfmConverterL1(GfmParams(), OperatingPoint.from_terminal(
             -0.35, 0.1, 1.0, WB))):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             model.admittance(np.append(s, 0.0))
     # 2 H s + D = 0 at s = -50 for H = 3, D = 300: the swing term vanishes
     gfm = GfmConverterL1(GfmParams(h_vsm=3.0, d_vsm=300.0),
@@ -221,14 +221,14 @@ GFL_OP, GFM_OP = op_point(0.7, 0.2, 1.0), op_point(-0.35, 0.1, 1.0)
 GUARDS = {
     # 1 + s t_v = 0 at s = -1 / t_v: the voltage filter's divisor vanishes
     "div": (lambda: GflConverterL1(GflParams(), GFL_OP).admittance, -500.0,
-            ZeroDivisionError, "complex division by zero"),
+            NonFiniteError, "complex division by zero"),
     "inv2": (lambda: RlBranch(0.0, 0.5, WB).admittance, 1j * WB,
              SingularMatrixError, "RL impedance is singular"),
     "inv2_combined": (combined_rl, 1j * WB, SingularMatrixError, "RL impedance is singular"),
     "gfl_s0": (lambda: GflConverterL1(GflParams(), GFL_OP).admittance, 0.0,
-               ValueError, "pure integrators"),
+               NonFiniteError, "pure integrators"),
     "gfm_s0": (lambda: GfmConverterL1(GfmParams(), GFM_OP).admittance, 0.0,
-               ValueError, "angle integrator"),
+               NonFiniteError, "angle integrator"),
     # 2 H s + D = 0 at s = -50 for H = 3, D = 300
     "gfm_swing": (lambda: GfmConverterL1(GfmParams(h_vsm=3.0, d_vsm=300.0), GFM_OP).admittance,
                   -50.0, SingularMatrixError, "swing dynamics"),
@@ -253,11 +253,21 @@ def test_each_guard_names_exactly_the_points_it_refuses(guard):
         evaluate(s[2:3])
 
 
+@pytest.mark.parametrize("guard", [g for g in GUARDS if g != "inv2_combined"])
+def test_each_guard_refuses_a_scalar_s_as_it_refuses_a_stack(guard):
+    # one refusal path: the Python scalar takes the stack's class and
+    # message, and its points are set (the combined evaluator takes a stack)
+    make, bad, error, message = GUARDS[guard]
+    with pytest.raises(error, match=message) as info:
+        make()(complex(bad))
+    assert np.all(info.value.points)
+
+
 def test_a_divisor_without_the_s_axis_names_every_point():
     # a base frequency of 0 rad/s divides every s by zero: the mask is
     # broadcast to the quotient, so its leading axis is still the s axis
     s = 1j * np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ZeroDivisionError) as info:
+    with pytest.raises(NonFiniteError) as info:
         rl_impedance(0.1, 0.5, s, 0.0)
     assert info.value.points.shape == s.shape and info.value.points.all()
 
@@ -771,19 +781,35 @@ def test_det_stack_refuses_exactly_the_points_refused_alone_on_three_bus(monkeyp
 
 
 class UnnamedRefusal(DeviceModel):
-    """A device that refuses every s with a ValueError naming no points."""
+    """A device that refuses every s with a SingularMatrixError naming no points."""
 
     def admittance(self, s):
-        raise ValueError("refused without naming a point")
+        raise SingularMatrixError("refused without naming a point")
+
+
+class BrokenModel(DeviceModel):
+    """A device whose evaluation fails with an error no guard raises."""
+
+    def admittance(self, s):
+        raise ValueError("a model bug")
 
 
 def test_det_stack_raises_a_refusal_that_names_no_points():
     # a stack cannot tell which of its points such an error refuses; one
     # point evaluated alone is refused by it
     net = Network(buses=("b",), devices=(Device("b", "x", UnnamedRefusal()),))
-    with pytest.raises(ValueError, match="without naming a point"):
+    with pytest.raises(SingularMatrixError, match="without naming a point"):
         stability._det_stack(net, np.array([1j, 2j]))
     assert np.isnan(stability._det_stack(net, np.array([1j]))).all()
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_det_stack_propagates_an_error_that_is_no_refusal(size):
+    # only the package's refusals read as a point that is not evaluable;
+    # a model bug surfaces, whether the stack holds one point or more
+    net = Network(buses=("b",), devices=(Device("b", "x", BrokenModel()),))
+    with pytest.raises(ValueError, match="a model bug"):
+        stability._det_stack(net, 1j * np.arange(1.0, size + 1.0))
 
 
 def test_a_round_with_one_live_search_evaluates_a_point(monkeypatch):

@@ -22,6 +22,7 @@ from fdpassivity.devices import (
 )
 from fdpassivity.errors import (
     MalformedTableError,
+    NonFiniteError,
     NotDifferentiableError,
     OutOfRangeError,
 )
@@ -151,7 +152,7 @@ def test_thevenin_matches_rl_and_validates():
 
 def test_converters_reject_dc_evaluation(gfl_model, gfm_model):
     for m in (gfl_model, gfm_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             m.admittance(0.0)
 
 
@@ -374,7 +375,7 @@ def test_writing_refuses_a_table_reading_would_refuse(tmp_path, freqs):
 
 def test_writing_a_converter_at_0_hz_raises_its_own_guard_and_writes_nothing(tmp_path, gfl_model):
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="not evaluable at s = 0"):
+    with pytest.raises(NonFiniteError, match="not evaluable at s = 0"):
         write_blackbox_table(path, gfl_model, [0.0, 10.0, 20.0])
     assert not path.exists()
 

@@ -8,11 +8,13 @@ thread.  io_cli imports the stability module only in the gnc, fdpf and
 modes analyses, so the other five never load it, and io_cli imports csv
 only to read a CSV file back.  The tests here run in fresh
 interpreters: in this process tests/oracles.py has already imported
-scipy, and earlier tests have loaded stability and csv.  The last test
-reads the source instead: no module imports a name it never uses.
+scipy, and earlier tests have loaded stability and csv.  The last two
+tests read the source instead: no module imports a name it never uses,
+and every refusal is a numerical failure of the package.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 import fdpassivity
+from fdpassivity import errors, stability
 
 TESTS = Path(__file__).resolve().parent
 SRC = Path(fdpassivity.__file__).resolve().parent.parent
@@ -157,3 +160,21 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == KEPT_UNUSED
+
+
+def test_every_refusal_is_a_package_numerical_failure():
+    # a guard refuses through devices._refuse, and det Y_n reads as not
+    # evaluable only on NOT_EVALUABLE: both name fdpassivity.errors classes
+    # under NumericalFailure, so a refusal exits 3 and a model bug is no refusal
+    refused = []
+    for path in sorted((SRC / "fdpassivity").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refuse":
+                error = dict(zip(("points", "error"), node.args),
+                             **{k.arg: k.value for k in node.keywords})["error"]
+                module = importlib.import_module(f"fdpassivity.{path.stem}")
+                refused.append(getattr(module, error.id))
+    assert refused
+    for error in [*refused, *stability.NOT_EVALUABLE]:
+        assert getattr(errors, error.__name__) is error
+        assert issubclass(error, errors.NumericalFailure)

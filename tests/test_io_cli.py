@@ -21,6 +21,7 @@ from fdpassivity import io_cli
 from fdpassivity.devices import BlackBoxModel, RlBranch, ShuntCapacitor
 from fdpassivity.errors import (
     MalformedTableError,
+    NonFiniteError,
     ScenarioParseError,
     ScenarioValidationError,
     UnknownBusError,
@@ -542,6 +543,37 @@ def test_modes_on_a_black_box_exits_3(tmp_path, capsys, gfl_model):
     code = main(["modes", "--scenario", str(p), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "only evaluable at s = j*omega" in capsys.readouterr().err
+
+
+# k_p_pll = 0 leaves the PLL's k_i_pll / s loop undamped: its pole on the
+# j omega axis sits at f0 = sqrt(v_d0 omega_b k_i_pll) / (2 pi) Hz
+AXIS_POLE_HZ = math.sqrt(1.0 * 2 * math.pi * 60 * 30.28) / (2 * math.pi)
+
+
+def _axis_pole_doc():
+    doc = _single_gfl_doc()
+    doc["devices"][0]["params"]["k_p_pll"] = 0
+    doc["grid"] = {"freqs_hz": [1.0, AXIS_POLE_HZ, 100.0]}
+    doc["analyses"]["fdpf"]["f_hz"] = AXIS_POLE_HZ
+    return doc
+
+
+@pytest.mark.parametrize("analysis, code", [
+    *[(a, 3) for a in ("device-passivity", "device-sens", "nodal-passivity", "nodal-sens",
+                       "participation", "fdpf")],
+    ("modes", 0),
+    ("gnc", 3),
+])
+def test_a_pole_on_the_grid_is_a_numerical_error(tmp_path, capsys, analysis, code):
+    p = write_scenario(tmp_path, _axis_pole_doc())
+    gfl = load_scenario(p).network.devices[0].model
+    with pytest.raises(NonFiniteError, match="complex division by zero"):
+        gfl.admittance(1j * 2 * math.pi * np.array([1.0, AXIS_POLE_HZ]))
+    assert main([analysis, "--scenario", str(p), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if analysis not in ("modes", "gnc"):
+        assert err == "numerical error: complex division by zero\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_is_deterministic_in_process(single_gfl_scenario, tmp_path):
@@ -1140,10 +1172,6 @@ def test_module_entry_point_runs_without_warning(tmp_path):
     assert (tmp_path / "device_passivity_GFL-1.csv").exists()
 
 
-def _single_gfl_doc():
-    return json.loads(fixture_path("single_gfl.json").read_text(encoding="utf-8"))
-
-
 def _set_option(analysis, key, value):
     def edit(doc):
         doc["analyses"][analysis][key] = value
@@ -1249,6 +1277,31 @@ BAD_VALUES = {
         "analyses.modes.re_max: expected a number with re_max - re_min finite"),
     "branches_a_number": (lambda doc: doc.update(branches=5), "branches: expected a list"),
     "branches_an_object": (lambda doc: doc.update(branches={"a": 1}), "branches: expected a list"),
+    # the loader's one rule for a frequency in Hz: 2*pi*f must be finite
+    "grid_f_max": (lambda doc: doc["grid"].update(f_max_hz=1e308),
+                   "grid.f_max_hz: expected a number with 2*pi*f_max_hz finite"),
+    "grid_freqs": (lambda doc: doc.update(grid={"freqs_hz": [1, 10, 1e308]}),
+                   "grid.freqs_hz: expected a number with 2*pi*f finite for each f"),
+    "fdpf_f_hz": (lambda doc: doc["analyses"]["fdpf"].update(f_hz=1e308),
+                  "analyses.fdpf.f_hz: expected a number with 2*pi*f_hz finite"),
+    "base_f_hz": (lambda doc: doc["base"].update(f_hz=1e308),
+                  "base.f_hz: expected a number with 2*pi*f_hz finite"),
+    "kind_not_a_string": (lambda doc: doc["devices"][0].update(kind=5),
+                          "devices[0].kind: expected a non-empty string"),
+    "blackbox_with_params": (
+        lambda doc: doc["devices"][0].update(kind="blackbox", path="t.csv", params={}),
+        "devices[0].params: a blackbox model takes no parameters"),
+    "params_not_an_object": (lambda doc: doc["devices"][0].update(params=5),
+                             "devices[0].params: expected an object"),
+    "grid_not_an_object": (lambda doc: doc.update(grid=5), "grid: missing or not an object"),
+    "freqs_not_a_list": (lambda doc: doc.update(grid={"freqs_hz": 5}),
+                         "grid.freqs_hz: expected a list of at least 2 numbers"),
+    "points_per_decade_text": (
+        lambda doc: doc.update(grid={"f_min_hz": 1, "f_max_hz": 10, "points_per_decade": "x"}),
+        "grid.points_per_decade: expected a number, got str"),
+    "one_point": (lambda doc: doc["grid"].update(points=1), "grid.points: need at least 2"),
+    "analyses_a_list": (lambda doc: doc.update(analyses=[]),
+                        "analyses: expected an object keyed by analysis name"),
 }
 
 
@@ -1262,7 +1315,7 @@ def test_bad_or_unknown_keys_exit_2_with_named_violation(tmp_path, capsys, case)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario validation failed:")
-    assert f"  - {violation}\n" in err
+    assert f"  - {violation}\n" in err and "Warning" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,8 +1,6 @@
-"""Device and nodal sweeps share one spectrum record; GNC junctions,
-the loader's rule for a frequency in Hz, and refusal paths that other
-tests do not reach."""
+"""Device and nodal sweeps share one spectrum record; GNC junctions and
+refusal paths that other tests do not reach."""
 
-import json
 import math
 
 import numpy as np
@@ -95,51 +93,6 @@ def _single_gfl_as_black_box():
 def test_l0_is_finite_unless_a_device_is_a_black_box(make, finite):
     # a table has no value at s = 0, so a black box keeps the unreduced closure
     assert stability._finite_at_zero(make()) is finite
-
-
-# the loader's one rule for a frequency in Hz: 2*pi*f must be finite
-HZ_CASES = {
-    "grid_f_max": (lambda doc: doc["grid"].update(f_max_hz=1e308),
-                   "grid.f_max_hz: expected a number with 2*pi*f_max_hz finite"),
-    "grid_freqs": (lambda doc: doc.update(grid={"freqs_hz": [1, 10, 1e308]}),
-                   "grid.freqs_hz: expected a number with 2*pi*f finite for each f"),
-    "fdpf_f_hz": (lambda doc: doc["analyses"]["fdpf"].update(f_hz=1e308),
-                  "analyses.fdpf.f_hz: expected a number with 2*pi*f_hz finite"),
-    "base_f_hz": (lambda doc: doc["base"].update(f_hz=1e308),
-                  "base.f_hz: expected a number with 2*pi*f_hz finite"),
-}
-# loader messages that no other test reaches
-LOADER_CASES = {
-    "kind_not_a_string": (lambda doc: doc["devices"][0].update(kind=5),
-                          "devices[0].kind: expected a non-empty string"),
-    "blackbox_with_params": (
-        lambda doc: doc["devices"][0].update(kind="blackbox", path="t.csv", params={}),
-        "devices[0].params: a blackbox model takes no parameters"),
-    "params_not_an_object": (lambda doc: doc["devices"][0].update(params=5),
-                             "devices[0].params: expected an object"),
-    "grid_not_an_object": (lambda doc: doc.update(grid=5), "grid: missing or not an object"),
-    "freqs_not_a_list": (lambda doc: doc.update(grid={"freqs_hz": 5}),
-                         "grid.freqs_hz: expected a list of at least 2 numbers"),
-    "points_per_decade_text": (
-        lambda doc: doc.update(grid={"f_min_hz": 1, "f_max_hz": 10, "points_per_decade": "x"}),
-        "grid.points_per_decade: expected a number, got str"),
-    "one_point": (lambda doc: doc["grid"].update(points=1), "grid.points: need at least 2"),
-    "analyses_a_list": (lambda doc: doc.update(analyses=[]),
-                        "analyses: expected an object keyed by analysis name"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(HZ_CASES) + sorted(LOADER_CASES))
-def test_loader_refuses_with_a_named_violation(tmp_path, capsys, case):
-    edit, violation = {**HZ_CASES, **LOADER_CASES}[case]
-    doc = json.loads(io_cli.fixture_path("single_gfl.json").read_text(encoding="utf-8"))
-    edit(doc)
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert io_cli.main(["fdpf", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert f"  - {violation}\n" in err and "Warning" not in err
-    assert not (tmp_path / "o").exists()
 
 
 def test_a_top_level_that_is_no_object_is_refused(tmp_path):

@@ -233,11 +233,11 @@ def _refusing_first(monkeypatch):
     returns the list of grids it is given."""
     real, grids = stability._winding_verdict, []
 
-    def verdict(omegas, loci):
+    def verdict(omegas, loci, **closure):
         grids.append(omegas)
         if len(grids) == 1:
             raise RefineGridError("a refusal that names no interval")
-        return real(omegas, loci)
+        return real(omegas, loci, **closure)
 
     monkeypatch.setattr(stability, "_winding_verdict", verdict)
     return grids
